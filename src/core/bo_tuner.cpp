@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
 
 #include "analysis/space_lint.h"
@@ -133,21 +134,6 @@ conf::Config BoTuner::fallback_config() {
   return seq.back();
 }
 
-Trial BoTuner::evaluate(const conf::Config& config, bool allow_early_term,
-                        double incumbent) {
-  Trial trial;
-  trial.config = config;
-  if (allow_early_term && options_.early_term.enabled) {
-    EarlyTerminationPolicy policy(options_.early_term, incumbent);
-    trial.outcome = objective_->run(config, &policy);
-    if (trial.outcome.aborted) {
-      trial.outcome.projected_objective = policy.last_projection_unbiased();
-    }
-  } else {
-    trial.outcome = objective_->run(config, nullptr);
-  }
-  return trial;
-}
 
 namespace {
 
@@ -156,54 +142,27 @@ namespace {
 constexpr double kSpentHoursBuckets[] = {0.5, 1.0, 2.0, 4.0, 8.0,
                                          16.0, 32.0, 64.0, 128.0};
 
+/// Publishes a pool's lifetime counters as threadpool.<pool>.* gauges.
+void publish_pool_stats(const std::string& pool,
+                        const util::ThreadPool::Stats& stats) {
+  ADML_GAUGE_SET("threadpool." + pool + ".submitted",
+                 static_cast<double>(stats.submitted));
+  ADML_GAUGE_SET("threadpool." + pool + ".completed",
+                 static_cast<double>(stats.completed));
+  ADML_GAUGE_MAX("threadpool." + pool + ".peak_queue_depth",
+                 static_cast<double>(stats.peak_queue_depth));
+}
+
 }  // namespace
 
-Trial BoTuner::consume_replay(const conf::Config& config) {
-  Trial trial = replay_[replay_cursor_];
-  // The journaled config went through a JSON round trip; the regenerated
-  // proposal is the bit-exact original. Verify they agree, then keep the
-  // proposal so the surrogate sees identical inputs to an uninterrupted
-  // run (any real divergence means the options or space changed).
-  const math::Vec a = objective_->space().encode(trial.config);
-  const math::Vec b = objective_->space().encode(config);
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
-  if (a.size() != b.size() || max_diff > 1e-9) {
-    throw std::runtime_error(
-        "BoTuner: journal replay diverged at trial " +
-        std::to_string(replay_cursor_) + " (journaled " +
-        trial.config.to_string() + ", proposed " + config.to_string() +
-        "); the journal was written with different options or a "
-        "different space");
-  }
-  ++replay_cursor_;
-  trial.config = config;
-  objective_->notify_replayed(trial);
-  ADML_COUNT("tuner.replayed_trials", 1);
-  return trial;
-}
-
-Trial BoTuner::next_trial(const conf::Config& config, bool allow_early_term,
-                          double incumbent) {
-  ADML_SPAN("tuner.evaluate");
-  if (replay_cursor_ < replay_.size()) return consume_replay(config);
-  Trial trial = evaluate(config, allow_early_term, incumbent);
-  ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
-                 trial.outcome.spent_seconds / 3600.0);
-  if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
-  if (journal_) {
-    ADML_SPAN("tuner.journal_append");
-    journal_->append(trial);
-  }
-  return trial;
-}
-
-/// One in-flight proposal of the ask/tell pipeline. Created on the main
-/// thread by ask(); the matching evaluation runs on the executor (or was
-/// replayed from the journal), and tell ingests it in index order.
+/// One outstanding proposal. Created by ask(); its result is ingested in
+/// index order, whether it was evaluated inline, on the executor, by a
+/// session client, or recovered from the journal.
 struct BoTuner::Proposal {
   std::int64_t index = 0;
+  /// Trials ingested when this proposal was asked; journaled so replay can
+  /// re-issue asks and ingests in the recorded order.
+  std::int64_t ingested_at_ask = 0;
   conf::Config config;
   bool allow_early_term = false;
   /// Incumbent snapshot at proposal time: the freshest deterministically
@@ -214,62 +173,121 @@ struct BoTuner::Proposal {
   /// Kriging-believer placeholder conditioning later asks (never trained
   /// into feasibility/cost models, never journaled).
   Trial fantasy;
-  /// Journal replay: the result was recovered at submit time instead of
-  /// being evaluated.
-  bool replayed = false;
-  Trial replayed_trial;
 };
 
-/// Ask/tell session bookkeeping. The deque of outstanding proposals plays
-/// run_async's `pending` role; `told` buffers results that arrived before an
-/// earlier ticket, so ingestion stays strict-FIFO whatever order a client
-/// (or many client threads behind the service) reports in.
-struct BoTuner::SessionState {
-  bool started = false;
+/// The ask/tell core's state, shared by tune() and session mode. `told`
+/// buffers results whose ticket is not yet at the FIFO front: out-of-order
+/// session reports, and journal records recovered by replay.
+struct BoTuner::LoopState {
   std::vector<conf::Config> design;
   std::deque<Proposal> pending;
   std::int64_t next_index = 0;
-  std::map<std::int64_t, Trial> told;  // buffered out-of-order tells
+  std::map<std::int64_t, Trial> told;
   TuningResult result;
 };
 
 BoTuner::~BoTuner() = default;
 
-BoTuner::SessionState& BoTuner::ensure_session() {
-  if (tuned_) {
+BoTuner::LoopState& BoTuner::loop(bool for_tune) {
+  if (tuned_ || (for_tune && loop_)) {
     throw std::logic_error(
-        "BoTuner: ask/tell session cannot start after tune()");
+        "BoTuner: tune() runs once, and excludes ask/tell session mode");
   }
-  if (!session_) session_ = std::make_unique<SessionState>();
-  if (!session_->started) {
-    // Same rng_ draw order as run_async: the design is generated before the
-    // first ask, so a session drive replays tune()'s exact stream.
-    session_->design = initial_configs();
-    session_->started = true;
+  tuned_ = for_tune;
+  if (!loop_) {
+    loop_ = std::make_unique<LoopState>();
+    // The design is drawn before the first ask, so every driver consumes
+    // rng_ in the same order.
+    loop_->design = initial_configs();
+    replay_journal();
   }
-  return *session_;
+  return *loop_;
 }
 
-bool BoTuner::session_can_propose() const {
-  const std::size_t trials =
-      session_ ? session_->result.trials.size() : 0;
-  const std::size_t pending = session_ ? session_->pending.size() : 0;
-  const double spent =
-      session_ ? session_->result.total_spent_seconds : 0.0;
-  return static_cast<int>(trials) + static_cast<int>(pending) <
+BoTuner::LoopState& BoTuner::session() {
+  LoopState& s = loop(/*for_tune=*/false);
+  // Journal records replayed behind the last replayed ask are ingested
+  // before the session serves traffic.
+  while (ingest_told_front()) {
+  }
+  return s;
+}
+
+bool BoTuner::can_propose() const {
+  const TuningResult& result = session_result();
+  return static_cast<int>(result.trials.size() + session_pending()) <
              options_.max_evaluations &&
-         spent < options_.max_spent_seconds;
+         result.total_spent_seconds < options_.max_spent_seconds;
 }
 
-void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
-  SessionState& s = *session_;
+void BoTuner::replay_journal() {
+  LoopState& s = *loop_;
+  for (Trial& record : replay_) {
+    // Re-ingest what the original run had ingested when it asked this
+    // record's proposal. Records without the field predate it; every
+    // writer of that era asked proposal i after max(0, i - q + 1) ingests.
+    const std::int64_t asked_at =
+        record.ingested_at_ask >= 0
+            ? record.ingested_at_ask
+            : std::max<std::int64_t>(0, s.next_index - options_.async_q + 1);
+    while (static_cast<std::int64_t>(s.result.trials.size()) < asked_at &&
+           ingest_told_front()) {
+    }
+    if (!can_propose()) break;
+    const Proposal& p = ask();
+    // The journaled config went through a JSON round trip; the regenerated
+    // proposal is the bit-exact original. Verify they agree (any real
+    // divergence means the options or space changed); ingestion keeps the
+    // proposal's config so the surrogate sees an uninterrupted run's inputs.
+    const math::Vec a = objective_->space().encode(record.config);
+    const math::Vec b = objective_->space().encode(p.config);
+    double max_diff = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
+    if (static_cast<std::int64_t>(s.result.trials.size()) != asked_at ||
+        max_diff > 1e-9) {
+      throw std::invalid_argument(
+          "BoTuner: journal replay diverged at trial " +
+          std::to_string(p.index) + " (journaled " +
+          record.config.to_string() + " after " + std::to_string(asked_at) +
+          " ingests, proposed " + p.config.to_string() + " after " +
+          std::to_string(s.result.trials.size()) +
+          "); the journal was written with different options or a "
+          "different space");
+    }
+    record.config = p.config;
+    // Advance the objective's per-run state at ask time, in proposal order
+    // relative to the live evaluations asked after this one.
+    objective_->notify_replayed(record);
+    ADML_COUNT("tuner.replayed_trials", 1);
+    s.told.emplace(p.index, std::move(record));
+    ++replayed_;
+  }
+  replay_.clear();
+}
+
+bool BoTuner::ingest_told_front() {
+  LoopState& s = *loop_;
+  if (s.pending.empty()) return false;
+  const auto it = s.told.find(s.pending.front().index);
+  if (it == s.told.end()) return false;
+  Trial trial = std::move(it->second);
+  s.told.erase(it);
+  ingest_front(std::move(trial));
+  return true;
+}
+
+void BoTuner::ingest_front(Trial trial) {
+  LoopState& s = *loop_;
   Proposal front = std::move(s.pending.front());
   s.pending.pop_front();
-  // Keep the bit-exact regenerated proposal config: the caller's copy went
-  // through a JSON round trip (consume_replay applies the same rule).
+  // Keep the bit-exact proposal config: a session client's copy went
+  // through a JSON round trip.
   trial.config = front.config;
   trial.proposal_index = front.index;
-  if (!already_journaled) {
+  trial.ingested_at_ask = front.ingested_at_ask;
+  // Proposals 0..replayed_-1 were recovered from the journal.
+  if (front.index >= static_cast<std::int64_t>(replayed_)) {
     ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
                    trial.outcome.spent_seconds / 3600.0);
     if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
@@ -278,7 +296,7 @@ void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
       journal_->append(trial);
     }
   }
-  ADML_DEBUG << "session trial " << s.result.trials.size() << ": "
+  ADML_DEBUG << "trial " << s.result.trials.size() << ": "
              << trial.config.to_string() << " -> "
              << (trial.succeeded() ? trial.outcome.objective : -1.0);
   history_.push_back(trial);
@@ -286,252 +304,136 @@ void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
 }
 
 std::size_t BoTuner::drain_replay() {
-  SessionState& s = ensure_session();
-  std::size_t drained = 0;
-  while (replay_cursor_ < replay_.size() && session_can_propose() &&
-         s.told.empty() && s.pending.empty()) {
-    // Resume is a serial ask->ingest drive: regenerate proposal i, verify it
-    // against journal record i, fold it in. Bit-identical to the original
-    // run because consume_replay keeps the regenerated config and
-    // notify_replayed advances the objective's deterministic state.
-    Proposal p = ask(s.design, s.pending, s.next_index, s.result);
-    ++s.next_index;
-    Trial trial = consume_replay(p.config);
-    s.pending.push_back(std::move(p));
-    ingest_session_front(std::move(trial), /*already_journaled=*/true);
-    ++drained;
-  }
-  return drained;
+  session();
+  return replayed_;
 }
 
 std::optional<BoTuner::SessionAsk> BoTuner::ask_next() {
-  SessionState& s = ensure_session();
-  if (replay_cursor_ < replay_.size()) drain_replay();
-  if (!session_can_propose()) return std::nullopt;
-  Proposal p = ask(s.design, s.pending, s.next_index, s.result);
-  ++s.next_index;
+  LoopState& s = session();
+  if (!can_propose()) return std::nullopt;
+  const Proposal& p = ask();
   SessionAsk out;
   out.ticket = p.index;
   out.config = p.config;
   out.allow_early_term = p.allow_early_term && options_.early_term.enabled;
   out.incumbent = p.incumbent;
-  s.pending.push_back(std::move(p));
   ADML_GAUGE_MAX("tuner.session_pending_peak",
                  static_cast<double>(s.pending.size()));
   return out;
 }
 
 void BoTuner::tell_next(std::int64_t ticket, Trial trial) {
-  SessionState& s = ensure_session();
-  bool outstanding = false;
-  for (const Proposal& p : s.pending) {
-    if (p.index == ticket) {
-      outstanding = true;
-      break;
-    }
-  }
-  if (!outstanding || s.told.count(ticket) != 0) {
+  LoopState& s = session();
+  // Outstanding tickets are the contiguous range [front, next_index).
+  if (s.pending.empty() || ticket < s.pending.front().index ||
+      ticket >= s.next_index || s.told.count(ticket) != 0) {
     throw std::invalid_argument(
         "BoTuner: tell_next ticket " + std::to_string(ticket) +
-        (s.told.count(ticket) != 0 || ticket < s.next_index
-             ? " was already reported"
-             : " was never asked"));
+        (ticket < s.next_index ? " was already reported"
+                               : " was never asked"));
   }
   s.told.emplace(ticket, std::move(trial));
   // Strict-FIFO ingestion: fold in the front ticket and everything buffered
   // contiguously behind it. Journal bytes, surrogate inputs and rng state
   // stay one canonical sequence whatever order reports arrive in.
-  while (!s.pending.empty()) {
-    auto it = s.told.find(s.pending.front().index);
-    if (it == s.told.end()) break;
-    Trial next = std::move(it->second);
-    s.told.erase(it);
-    ingest_session_front(std::move(next), /*already_journaled=*/false);
+  while (ingest_told_front()) {
   }
 }
 
 const TuningResult& BoTuner::session_result() const {
   static const TuningResult kEmpty;
-  return session_ ? session_->result : kEmpty;
+  return loop_ ? loop_->result : kEmpty;
 }
 
 std::size_t BoTuner::session_pending() const {
-  return session_ ? session_->pending.size() : 0;
+  return loop_ ? loop_->pending.size() : 0;
 }
 
 bool BoTuner::session_done() const {
-  return !session_can_propose() && session_pending() == 0 &&
-         (!session_ || session_->told.empty());
+  // Told results belong to outstanding tickets, so none are left either.
+  return !can_propose() && session_pending() == 0;
 }
 
-BoTuner::Proposal BoTuner::ask(const std::vector<conf::Config>& design,
-                               std::deque<Proposal>& pending,
-                               std::int64_t index,
-                               const TuningResult& result) {
-  Proposal p;
-  p.index = index;
-  p.incumbent = result.best_objective;
-  if (index < static_cast<std::int64_t>(design.size())) {
-    // Initial design: run to completion (uncensored anchors), exactly like
-    // the synchronous phase 1. No model is consulted, so the fantasy below
-    // carries no belief (+inf objective) and only dedups the pending point.
-    p.config = design[static_cast<std::size_t>(index)];
-    p.allow_early_term = false;
-    p.fantasy = make_fantasy_trial(surrogate_, p.config);
-    return p;
-  }
-  p.allow_early_term = true;
-  std::optional<conf::Config> candidate;
-  const SurrogateModel* model = &surrogate_;
-  if (pending.empty()) {
-    // Nothing in flight (async_q == 1, or the pipeline drained): identical
-    // to one synchronous phase-2 iteration — same model, same rng draws.
-    surrogate_.update(history_);
-    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-    if (surrogate_.ready() && !explore) {
-      ADML_SPAN("tuner.propose");
-      candidate = propose_candidate(surrogate_, options_.acquisition,
-                                    history_, rng_, options_.acq_optimizer);
+Trial BoTuner::evaluate(const Proposal& p) {
+  Trial trial;
+  if (p.allow_early_term && options_.early_term.enabled) {
+    EarlyTerminationPolicy policy(options_.early_term, p.incumbent);
+    trial.outcome = objective_->run(p.config, &policy);
+    if (trial.outcome.aborted) {
+      trial.outcome.projected_objective = policy.last_projection_unbiased();
     }
   } else {
-    // Pending evaluations: condition the proposal on the history plus the
-    // kriging-believer fantasies, so the acquisition repels the pending
-    // points instead of re-proposing next to them. The augmented view also
-    // dedups in-flight configs (propose_candidate rejects exact repeats).
-    std::vector<Trial> augmented = history_;
-    augmented.reserve(history_.size() + pending.size());
-    for (const Proposal& pe : pending) augmented.push_back(pe.fantasy);
-    fantasy_model_.update(augmented);
-    model = &fantasy_model_;
-    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-    if (fantasy_model_.ready() && !explore) {
-      ADML_SPAN("tuner.propose");
-      candidate =
-          propose_candidate(fantasy_model_, options_.acquisition, augmented,
-                            rng_, options_.acq_optimizer);
-    }
+    trial.outcome = objective_->run(p.config, nullptr);
   }
-  if (!candidate && model->degraded()) {
-    ADML_COUNT("tuner.fallback_proposals", 1);
-    candidate = fallback_config();
-  }
-  if (!candidate) {
-    ADML_COUNT("tuner.random_proposals", 1);
-    candidate = objective_->space().sample_uniform(rng_);
-  }
-  p.config = std::move(*candidate);
-  p.fantasy = make_fantasy_trial(*model, p.config);
-  return p;
+  return trial;
 }
 
-void BoTuner::run_async(TuningResult& result,
-                        const std::function<bool()>& deadline_hit) {
-  const int q = options_.async_q;
-  const std::size_t workers = options_.async_workers > 0
-                                  ? static_cast<std::size_t>(
-                                        options_.async_workers)
-                                  : static_cast<std::size_t>(q);
-  // Objectives with per-run deterministic state run serialized (starts are
-  // still pipelined with proposal work); a concurrent-safe objective gets
-  // real q-way overlap. Either way results ingest in proposal order.
-  AsyncEvalExecutor executor(workers,
-                             !objective_->concurrent_runs_safe());
-  const std::vector<conf::Config> design = initial_configs();
-  std::deque<Proposal> pending;
-  std::int64_t next_index = 0;
-
-  // Budget gate at proposal time: everything recorded plus everything in
-  // flight counts against max_evaluations, so the pipeline never proposes
-  // an evaluation the budget cannot pay for.
-  const auto can_propose = [&] {
-    return static_cast<int>(result.trials.size()) +
-               static_cast<int>(pending.size()) < options_.max_evaluations &&
-           result.total_spent_seconds < options_.max_spent_seconds &&
-           !deadline_hit();
-  };
-
-  while (true) {
-    while (static_cast<int>(pending.size()) < q && can_propose()) {
-      Proposal p = ask(design, pending, next_index, result);
-      ++next_index;
-      if (replay_cursor_ < replay_.size()) {
-        // Recovered from the journal: no evaluation to schedule. The
-        // replay state advances *here*, at submit time, so the objective's
-        // per-run counters tick in proposal order relative to the live
-        // evaluations submitted after this one.
-        p.replayed = true;
-        p.replayed_trial = consume_replay(p.config);
-      } else {
-        executor.submit([this, config = p.config,
-                         allow_early_term = p.allow_early_term,
-                         incumbent = p.incumbent] {
-          return evaluate(config, allow_early_term, incumbent);
-        });
-      }
-      pending.push_back(std::move(p));
-      ADML_GAUGE_SET("tuner.in_flight",
-                     static_cast<double>(executor.in_flight()));
-      ADML_GAUGE_MAX("tuner.in_flight_peak",
-                     static_cast<double>(executor.in_flight()));
+const BoTuner::Proposal& BoTuner::ask() {
+  LoopState& s = *loop_;
+  Proposal p;
+  p.index = s.next_index++;
+  p.ingested_at_ask = static_cast<std::int64_t>(s.result.trials.size());
+  p.incumbent = s.result.best_objective;
+  SurrogateModel* model = &surrogate_;
+  if (p.index < static_cast<std::int64_t>(s.design.size())) {
+    // Initial design: run to completion (uncensored anchors). No model is
+    // consulted, so the fantasy carries no belief (+inf objective) and only
+    // dedups the pending point.
+    p.config = s.design[static_cast<std::size_t>(p.index)];
+  } else {
+    // Condition the proposal on the history plus kriging-believer fantasies
+    // of the outstanding proposals, so the acquisition repels them instead
+    // of re-proposing next to them (propose_candidate also rejects exact
+    // repeats). With nothing outstanding this is the plain surrogate.
+    std::vector<Trial> augmented;
+    const std::vector<Trial>* seen = &history_;
+    if (!s.pending.empty()) {
+      augmented = history_;
+      for (const Proposal& pe : s.pending) augmented.push_back(pe.fantasy);
+      seen = &augmented;
+      model = &fantasy_model_;
     }
-    if (pending.empty()) break;
-
-    // Tell: ingest the oldest proposal's result. Strict FIFO — completion
-    // order never reaches this thread, so journal bytes, surrogate inputs,
-    // and rng state are one canonical sequence at any worker count.
-    Proposal front = std::move(pending.front());
-    pending.pop_front();
-    Trial trial;
-    if (front.replayed) {
-      trial = std::move(front.replayed_trial);
-      trial.proposal_index = front.index;
-    } else {
-      trial = executor.next_result();
-      trial.proposal_index = front.index;
-      ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
-                     trial.outcome.spent_seconds / 3600.0);
-      if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
-      if (journal_) {
-        ADML_SPAN("tuner.journal_append");
-        journal_->append(trial);
-      }
+    model->update(*seen);
+    std::optional<conf::Config> candidate;
+    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
+    if (model->ready() && !explore) {
+      ADML_SPAN("tuner.propose");
+      candidate = propose_candidate(*model, options_.acquisition, *seen, rng_,
+                                    options_.acq_optimizer);
     }
-    ADML_GAUGE_SET("tuner.in_flight",
-                   static_cast<double>(executor.in_flight()));
-    ADML_DEBUG << "trial " << result.trials.size() << ": "
-               << trial.config.to_string() << " -> "
-               << (trial.succeeded() ? trial.outcome.objective : -1.0);
-    history_.push_back(trial);
-    record_trial(result, std::move(trial));
+    if (!candidate && model->degraded()) {
+      // Degraded surrogate: no posterior to maximize, but the run should
+      // still make progress. Quasi-random coverage beats iid uniform here,
+      // and the dedicated stream keeps it reproducible (see
+      // fallback_config).
+      ADML_COUNT("tuner.fallback_proposals", 1);
+      candidate = fallback_config();
+    }
+    if (!candidate) {
+      ADML_COUNT("tuner.random_proposals", 1);
+      candidate = objective_->space().sample_uniform(rng_);
+    }
+    p.config = std::move(*candidate);
+    p.allow_early_term = true;
   }
-
-  const util::ThreadPool::Stats stats = executor.pool_stats();
-  ADML_GAUGE_SET("threadpool.eval.submitted",
-                 static_cast<double>(stats.submitted));
-  ADML_GAUGE_SET("threadpool.eval.completed",
-                 static_cast<double>(stats.completed));
-  ADML_GAUGE_MAX("threadpool.eval.peak_queue_depth",
-                 static_cast<double>(stats.peak_queue_depth));
+  p.fantasy = make_fantasy_trial(*model, p.config);
+  s.pending.push_back(std::move(p));
+  return s.pending.back();
 }
 
 TuningResult BoTuner::tune() {
   ADML_SPAN("tuner.tune");
-  if (session_ && session_->started) {
-    throw std::logic_error("BoTuner: tune() after an ask/tell session began");
-  }
-  tuned_ = true;
-  TuningResult result;
   util::Stopwatch wall;
-  const auto wall_seconds = [&] {
-    return options_.wall_clock ? options_.wall_clock()
-                               : wall.elapsed_seconds();
-  };
+  LoopState& s = loop(/*for_tune=*/true);
+  TuningResult& result = s.result;
   // Deadline watchdog: checked between trials, never mid-evaluation. Every
   // finished trial is already fsynced in the journal, so hitting the
   // deadline is a clean checkpoint-and-exit, not an abort.
   const auto deadline_hit = [&] {
     if (result.wall_deadline_hit) return true;
-    if (!(wall_seconds() >= options_.max_wall_seconds)) return false;
+    const double now =
+        options_.wall_clock ? options_.wall_clock() : wall.elapsed_seconds();
+    if (!(now >= options_.max_wall_seconds)) return false;
     result.wall_deadline_hit = true;
     ADML_COUNT("tuner.wall_deadline_hits", 1);
     ADML_WARN << "tuner: wall-clock deadline (" << options_.max_wall_seconds
@@ -539,62 +441,53 @@ TuningResult BoTuner::tune() {
               << " trials; checkpointing and stopping (journal is resumable)";
     return true;
   };
-  const auto budget_left = [&] {
-    return static_cast<int>(result.trials.size()) < options_.max_evaluations &&
-           result.total_spent_seconds < options_.max_spent_seconds &&
-           !deadline_hit();
-  };
 
-  if (options_.async_q > 1 || options_.async_workers > 0) {
-    // Async pipeline: up to async_q proposals in flight, told back in
-    // strict proposal order. async_workers > 0 with async_q == 1 forces
-    // the pipeline at depth one, which reproduces the synchronous loop.
-    run_async(result, deadline_hit);
-  } else {
-    // Phase 1: initial design, run to completion (uncensored anchors).
-    {
-      ADML_SPAN("tuner.initial_design");
-      for (const conf::Config& config : initial_configs()) {
-        if (!budget_left()) break;
-        Trial trial = next_trial(config, /*allow_early_term=*/false,
-                                 result.best_objective);
-        history_.push_back(trial);
-        record_trial(result, std::move(trial));
-      }
+  // async_q == 1 evaluates inline on this thread. Deeper pipelines keep up
+  // to async_q evaluations on an executor; objectives with per-run
+  // deterministic state run serialized there (starts still overlap with
+  // proposal work), concurrent-safe ones get real q-way overlap.
+  std::unique_ptr<AsyncEvalExecutor> executor;
+  if (options_.async_q > 1) {
+    executor = std::make_unique<AsyncEvalExecutor>(
+        static_cast<std::size_t>(options_.async_workers > 0
+                                     ? options_.async_workers
+                                     : options_.async_q),
+        !objective_->concurrent_runs_safe());
+  }
+  // One tick: fill the pipeline to async_q, then tell the oldest proposal's
+  // result back. Strict FIFO — completion order never reaches this thread.
+  const auto step = [&] {
+    while (static_cast<int>(s.pending.size()) < options_.async_q &&
+           can_propose() && !deadline_hit()) {
+      const Proposal& p = ask();
+      if (executor) executor->submit([this, p] { return evaluate(p); });
     }
-
-    // Phase 2: model-guided search.
-    while (budget_left()) {
-      ADML_SPAN("tuner.iteration");
-      surrogate_.update(history_);
-      std::optional<conf::Config> candidate;
-      const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-      if (surrogate_.ready() && !explore) {
-        ADML_SPAN("tuner.propose");
-        candidate = propose_candidate(surrogate_, options_.acquisition,
-                                      history_, rng_, options_.acq_optimizer);
-      }
-      if (!candidate && surrogate_.degraded()) {
-        // Degraded surrogate: no posterior to maximize, but the run should
-        // still make progress. Quasi-random coverage beats iid uniform
-        // here, and the dedicated stream keeps it reproducible (see
-        // fallback_config).
-        ADML_COUNT("tuner.fallback_proposals", 1);
-        candidate = fallback_config();
-      }
-      if (!candidate) {
-        ADML_COUNT("tuner.random_proposals", 1);
-        candidate = objective_->space().sample_uniform(rng_);
-      }
-      Trial trial = next_trial(*candidate, /*allow_early_term=*/true,
-                               result.best_objective);
-      ADML_DEBUG << "trial " << result.trials.size() << ": "
-                 << trial.config.to_string() << " -> "
-                 << (trial.succeeded() ? trial.outcome.objective : -1.0);
-      history_.push_back(trial);
-      record_trial(result, std::move(trial));
+    if (s.pending.empty()) return false;
+    if (executor) {
+      ADML_GAUGE_MAX("tuner.in_flight_peak",
+                     static_cast<double>(executor->in_flight()));
+    }
+    if (ingest_told_front()) return true;  // recovered from the journal
+    if (!executor) {
+      ADML_SPAN("tuner.evaluate");
+      ingest_front(evaluate(s.pending.front()));
+      return true;
+    }
+    ingest_front(executor->next_result());
+    ADML_GAUGE_SET("tuner.in_flight",
+                   static_cast<double>(executor->in_flight()));
+    return true;
+  };
+  {
+    ADML_SPAN("tuner.initial_design");
+    while (result.trials.size() < s.design.size() && step()) {
     }
   }
+  while (true) {
+    ADML_SPAN("tuner.iteration");
+    if (!step()) break;
+  }
+  if (executor) publish_pool_stats("eval", executor->pool_stats());
 
   // Leave the surrogate fitted on everything seen (sensitivity analysis) —
   // unless the wall deadline fired: the watchdog's contract is a prompt
@@ -604,15 +497,7 @@ TuningResult BoTuner::tune() {
   if (result.found_feasible())
     ADML_GAUGE_SET("tuner.best_objective", result.best_objective);
   ADML_GAUGE_ADD("tuner.simulated_spent_seconds", result.total_spent_seconds);
-  if (acq_pool_) {
-    const util::ThreadPool::Stats stats = acq_pool_->stats();
-    ADML_GAUGE_SET("threadpool.acq.submitted",
-                   static_cast<double>(stats.submitted));
-    ADML_GAUGE_SET("threadpool.acq.completed",
-                   static_cast<double>(stats.completed));
-    ADML_GAUGE_MAX("threadpool.acq.peak_queue_depth",
-                   static_cast<double>(stats.peak_queue_depth));
-  }
+  if (acq_pool_) publish_pool_stats("acq", acq_pool_->stats());
   return result;
 }
 

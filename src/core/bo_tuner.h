@@ -1,27 +1,33 @@
 // The AutoDML tuner: Bayesian optimization over distributed-ML system
 // configurations. This is the paper's primary contribution.
 //
-// Loop structure:
-//   1. Space-filling initial design (Latin hypercube by default), evaluated
-//      to completion — the model needs uncensored observations to anchor.
-//   2. Repeat until the evaluation or simulated-time budget is exhausted:
-//      fit the surrogate (objective + feasibility + cost GPs), maximize the
-//      acquisition over a mixed candidate pool, evaluate the winner under
-//      the early-termination policy (hopeless runs are killed from their
-//      learning curve), record the trial.
+// Loop structure: one ask/tell core drives every trial.
+//   - ask: the first initial_design_size proposals come from a
+//     space-filling design (Latin hypercube by default) and run to
+//     completion — the model needs uncensored anchors. Later proposals fit
+//     the surrogate (objective + feasibility + cost GPs) and maximize the
+//     acquisition over a mixed candidate pool, conditioned on
+//     kriging-believer fantasies of every outstanding proposal.
+//   - tell: results are ingested strictly in proposal (FIFO) order —
+//     journaled, folded into the surrogate history, recorded.
+// tune() drives the core itself: at async_q == 1 it evaluates each
+// proposal inline under the early-termination policy (hopeless runs are
+// killed from their learning curve); deeper pipelines keep async_q
+// evaluations on an AsyncEvalExecutor. The session API (ask_next/
+// tell_next) hands the same core to an external driver.
 // Warm-start trials (R-F9) are folded into the surrogate but are not
 // charged against the budget or reported in the result's trial list.
 //
 // Crash safety: with `journal_path` set, every evaluated trial is appended
-// to a fsynced line-delimited journal before the loop proceeds. A process
+// to a fsynced line-delimited journal when it is ingested. A process
 // killed mid-tune resumes by pointing a new tuner (same seed, same options)
-// at the same journal: journaled trials are *replayed* — folded into the
-// result, the budget, and the surrogate without re-evaluating, while the
-// objective advances its deterministic per-run state via notify_replayed —
-// so the continuation is bit-identical to an uninterrupted run.
+// at the same journal: journaled trials are *replayed* — their asks and
+// ingests re-issued in the recorded order and folded into the result, the
+// budget, and the surrogate without re-evaluating, while the objective
+// advances its deterministic per-run state via notify_replayed — so the
+// continuation is bit-identical to an uninterrupted run.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -73,15 +79,16 @@ struct BoOptions {
   /// pending points (see make_fantasy_trial); results are ingested,
   /// journaled, and folded into the surrogate strictly in proposal order,
   /// so incumbents are bit-identical and journals byte-identical at any
-  /// async_workers count. Resume requires the same async_q (like seed).
+  /// async_workers count. Replay accepts a journal written at any async_q,
+  /// but the continuation is bit-identical to the uninterrupted run only
+  /// at the same async_q (like seed).
   /// Budget note: max_spent_seconds is checked at proposal time, so an
   /// async run can overshoot it by up to async_q in-flight evaluations
   /// (the synchronous loop already overshoots by one).
   int async_q = 1;
-  /// Executor worker threads for async evaluation (0 = use async_q).
-  /// Changes latency only, never results. Setting this with async_q == 1
-  /// forces the async pipeline at depth one, which reproduces the
-  /// synchronous loop's trial sequence bit for bit (tested).
+  /// Executor worker threads when async_q > 1 (0 = use async_q). Changes
+  /// latency only, never results. Ignored at async_q == 1, which evaluates
+  /// inline on the calling thread.
   int async_workers = 0;
   std::uint64_t seed = 1;
 };
@@ -98,20 +105,19 @@ class BoTuner {
   const SurrogateModel& surrogate() const { return surrogate_; }
 
   /// Trials recovered from the journal instead of evaluated (after tune()).
-  std::size_t replayed_trials() const { return replay_cursor_; }
+  std::size_t replayed_trials() const { return replayed_; }
 
   // ---- ask/tell session mode (the service daemon's driving API) ----------
   //
-  // Instead of tune() owning the loop, an external driver alternates
+  // Instead of tune() driving the core, an external driver alternates
   // ask_next() (get a proposal to evaluate elsewhere) and tell_next()
   // (report the outcome). The op sequence fully determines the results:
-  // a serial ask->tell drive is bit-identical to tune() with
-  // async_workers == 1 (the forced-async depth-one pipeline), and a
-  // k-outstanding drive matches async_q == k with the same interleave.
-  // Results are ingested — journaled, folded into the surrogate, recorded —
-  // in strict ticket order regardless of tell arrival order, exactly like
-  // run_async's FIFO collection. tune() and session mode are mutually
-  // exclusive on one instance.
+  // a serial ask->tell drive is bit-identical to tune() at async_q == 1,
+  // and a k-outstanding drive matches async_q == k with the same
+  // interleave. Results are ingested — journaled, folded into the
+  // surrogate, recorded — in strict ticket order regardless of tell
+  // arrival order, exactly like tune()'s FIFO collection. tune() and
+  // session mode are mutually exclusive on one instance.
 
   /// One proposal handed to an external evaluator. `incumbent` snapshots
   /// the best objective at ask time so a remote early-termination policy
@@ -124,8 +130,8 @@ class BoTuner {
   };
 
   /// Next proposal, conditioned on history plus kriging-believer fantasies
-  /// of every outstanding (asked, not yet told) ticket. Replays any pending
-  /// journal records first (see drain_replay). Returns nullopt when the
+  /// of every outstanding (asked, not yet told) ticket. The first session
+  /// op replays the journal (see drain_replay). Returns nullopt when the
   /// evaluation/spent budget cannot pay for another proposal.
   std::optional<SessionAsk> ask_next();
 
@@ -137,8 +143,10 @@ class BoTuner {
   void tell_next(std::int64_t ticket, Trial trial);
 
   /// Replays every journaled trial into the session (resume-by-replay),
-  /// returning how many were recovered. Called implicitly by ask_next();
+  /// returning how many were recovered. Any session op replays first;
   /// explicit use lets a daemon restore state before serving traffic.
+  /// Throws std::invalid_argument when the journal diverges from the
+  /// regenerated proposals (different options or space).
   std::size_t drain_replay();
 
   /// Live view of the session's result (incumbent, trials, curve).
@@ -151,41 +159,41 @@ class BoTuner {
   bool session_done() const;
 
  private:
-  struct Proposal;      // pending ask/tell bookkeeping (see bo_tuner.cpp)
-  struct SessionState;  // ask/tell session bookkeeping (see bo_tuner.cpp)
+  struct Proposal;   // one outstanding ask (see bo_tuner.cpp)
+  struct LoopState;  // the ask/tell core's state (see bo_tuner.cpp)
 
-  /// Lazily starts the session (initial design drawn on first use, matching
-  /// run_async's rng order); throws after tune().
-  SessionState& ensure_session();
-  /// Budget gate shared by ask_next/drain_replay; mirrors run_async's
-  /// can_propose (minus the wall deadline — a daemon has no tune() watchdog).
-  bool session_can_propose() const;
+  /// Lazily starts the loop: draws the initial design, then replays the
+  /// journal. Shared by tune() and session mode, which exclude each other:
+  /// throws std::logic_error on a second tune() or on mixing the modes.
+  LoopState& loop(bool for_tune);
+  /// loop() for the session API; also ingests journal records left
+  /// outstanding by replay, before the session serves traffic.
+  LoopState& session();
+  /// The budget gate: everything ingested plus everything outstanding
+  /// counts against max_evaluations, so no driver proposes an evaluation
+  /// the budget cannot pay for.
+  bool can_propose() const;
+  /// The ask half of the core: the next proposal, conditioned on the
+  /// history plus kriging-believer fantasies of every outstanding one, is
+  /// appended to the FIFO. Deterministic — all rng draws happen here, on
+  /// the caller's thread.
+  const Proposal& ask();
   /// Pops the oldest outstanding proposal and ingests `trial` for it:
-  /// proposal-index stamp, metrics, journal append (live results only),
+  /// index stamps, metrics and journal append (live results only),
   /// surrogate history, incumbent update.
-  void ingest_session_front(Trial trial, bool already_journaled);
+  void ingest_front(Trial trial);
+  /// Ingests the FIFO front if its result is already known (told out of
+  /// order, or recovered from the journal); false otherwise.
+  bool ingest_told_front();
+  /// Re-issues the journal's asks and ingests in their recorded order,
+  /// verifying each regenerated proposal against its record. Records
+  /// ingested after the last replayed ask stay outstanding with their
+  /// outcomes known. Throws std::invalid_argument on divergence.
+  void replay_journal();
 
-  Trial evaluate(const conf::Config& config, bool allow_early_term,
-                 double incumbent);
-  /// Journal-aware evaluation: replays the next journaled trial when one is
-  /// pending (verifying it matches `config`), otherwise evaluates live and
-  /// journals the result before returning.
-  Trial next_trial(const conf::Config& config, bool allow_early_term,
-                   double incumbent);
-  /// Pops the next journaled trial, verifying it matches the regenerated
-  /// proposal `config`, and advances the objective's replay state.
-  Trial consume_replay(const conf::Config& config);
-  /// The ask half of the ask/tell split: the next proposal, conditioned on
-  /// the history plus kriging-believer fantasies of every pending proposal.
-  /// Deterministic — all rng draws happen here, on the caller's thread.
-  Proposal ask(const std::vector<conf::Config>& design,
-               std::deque<Proposal>& pending, std::int64_t index,
-               const TuningResult& result);
-  /// The async pipeline behind tune() when async_q > 1 (or async_workers
-  /// forces it): fill the executor to async_q proposals, then tell results
-  /// back in strict proposal order.
-  void run_async(TuningResult& result,
-                 const std::function<bool()>& deadline_hit);
+  /// Runs `p` on the objective, under the early-termination policy when
+  /// it allows one. Thread-safe with respect to the loop state.
+  Trial evaluate(const Proposal& p);
   std::vector<conf::Config> initial_configs();
   /// Quasi-random proposal used while the surrogate is degraded. Driven by
   /// a dedicated seed-derived Halton stream — not rng_ and not the thread
@@ -198,17 +206,18 @@ class BoTuner {
   util::Rng rng_;
   std::unique_ptr<util::ThreadPool> acq_pool_;  // when acq_threads > 1
   SurrogateModel surrogate_;
-  /// Async mode only: the surrogate refit on history + pending fantasies.
+  /// The surrogate refit on history + outstanding fantasies (asks made
+  /// while proposals are outstanding).
   /// Kept separate from surrogate_ so fantasy beliefs never leak into the
   /// model the sensitivity analysis (and the final fit) reads.
   SurrogateModel fantasy_model_;
   std::vector<Trial> history_;  // warm start + own trials
-  std::vector<Trial> replay_;  // journaled trials pending replay
-  std::size_t replay_cursor_ = 0;
+  std::vector<Trial> replay_;  // journaled trials, consumed by the loop start
+  std::size_t replayed_ = 0;
   std::unique_ptr<TrialJournal> journal_;
   std::size_t fallback_index_ = 0;  // Halton cursor for degraded proposals
-  std::unique_ptr<SessionState> session_;  // non-null once session mode began
-  bool tuned_ = false;                     // tune() ran (or is running)
+  std::unique_ptr<LoopState> loop_;  // non-null once tune() or a session began
+  bool tuned_ = false;               // tune() ran (or is running)
 };
 
 }  // namespace autodml::core

@@ -129,12 +129,15 @@ util::JsonValue trial_to_json(const Trial& trial) {
   util::JsonObject out;
   out.emplace("config", std::move(config));
   out.emplace("outcome", std::move(outcome));
-  // Only async sessions stamp a proposal index; the synchronous path omits
-  // the field entirely so its journals stay byte-identical to pre-async
-  // revisions (and resumable by them).
+  // The tuner stamps both indices on every trial it ingests; trials from
+  // elsewhere leave them unassigned and omit the fields.
   if (trial.proposal_index >= 0) {
     out.emplace("proposal_index",
                 util::JsonValue(static_cast<double>(trial.proposal_index)));
+  }
+  if (trial.ingested_at_ask >= 0) {
+    out.emplace("ingested_at_ask",
+                util::JsonValue(static_cast<double>(trial.ingested_at_ask)));
   }
   return util::JsonValue(std::move(out));
 }
@@ -197,13 +200,16 @@ Trial trial_from_json(const util::JsonValue& value,
     trial.outcome.projected_objective =
         require_number(outcome, "projected_objective", "outcome");
   }
-  if (value.contains("proposal_index")) {
-    const double index = require_number(value, "proposal_index", "trial");
+  const auto index_field = [&](std::string_view key) -> std::int64_t {
+    if (!value.contains(key)) return -1;
+    const double index = require_number(value, key, "trial");
     if (index < 0.0)
-      throw std::invalid_argument(
-          "session: trial: 'proposal_index' must be >= 0");
-    trial.proposal_index = static_cast<std::int64_t>(index);
-  }
+      throw std::invalid_argument("session: trial: '" + std::string(key) +
+                                  "' must be >= 0");
+    return static_cast<std::int64_t>(index);
+  };
+  trial.proposal_index = index_field("proposal_index");
+  trial.ingested_at_ask = index_field("ingested_at_ask");
   return trial;
 }
 
@@ -360,12 +366,12 @@ LoadedJournal load_journal(const std::string& path,
                                   std::to_string(i) + ": " + e.what());
     }
   }
-  // Out-of-order tolerance: async sessions stamp every record with its
+  // Out-of-order tolerance: the tuner stamps every record with its
   // proposal index, so replay order is defined by the index, not by append
   // order. (The in-tree writer ingests FIFO and appends in index order; the
   // sort is the schema's contract for any conforming writer.) A journal
-  // whose records only partially carry indices is positional, like a
-  // legacy journal.
+  // whose records only partially carry indices (a legacy synchronous
+  // journal resumed by a newer tuner) is positional.
   const bool all_indexed =
       !out.trials.empty() &&
       std::all_of(out.trials.begin(), out.trials.end(),

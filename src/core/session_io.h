@@ -79,9 +79,10 @@ struct LoadedJournal {
 ///
 /// Thread-safe: appends from concurrent sessions sharing one journal are
 /// serialized under an internal mutex, so records never interleave
-/// mid-line (the durability contract is per whole record). Record *order*
-/// across threads is scheduling-dependent; replay tolerates any order
-/// because trials are keyed by content, not position.
+/// mid-line (the durability contract is per whole record). Replay does
+/// not depend on append order: it is positional by proposal_index
+/// (load_journal sorts by it) and verified by content (each record must
+/// match the regenerated proposal).
 ///
 /// Single-writer contract *across instances*: the mutex covers one
 /// TrialJournal object, not the path. Two live instances on the same

@@ -77,11 +77,14 @@ struct Trial {
   /// spread out, but they must never train the feasibility or cost models,
   /// move the incumbent, or be journaled/recorded.
   bool fantasized = false;
-  /// Position in the tuner's proposal sequence (0-based), stamped on
-  /// journaled trials by the async executor path; -1 when unassigned (the
-  /// synchronous path, whose journal order *is* the proposal order).
-  /// Journal replay sorts by it, so resume tolerates out-of-order records.
+  /// Position in the tuner's proposal sequence (0-based), stamped on every
+  /// trial the tuner ingests; -1 when unassigned (trials from elsewhere,
+  /// legacy journals). Journal replay sorts by it, so resume tolerates
+  /// out-of-order records.
   std::int64_t proposal_index = -1;
+  /// Trials the tuner had ingested when it asked for this one; -1 when
+  /// unassigned. Replay re-issues asks and ingests in this recorded order.
+  std::int64_t ingested_at_ask = -1;
 
   /// A real, completed, feasible observation. Fantasy placeholders are
   /// never "succeeded": they must not rank as incumbents or seed local

@@ -40,12 +40,13 @@ TuningSession::TuningSession(SessionConfig config,
   try {
     tuner_ =
         std::make_unique<core::BoTuner>(*objective_, config_.options);
+    replayed_ = tuner_->drain_replay();
   } catch (const std::invalid_argument& e) {
-    // Space lint errors, journal seed/shape mismatches, bad option combos:
-    // all caused by the create request (or a stale journal it pointed at).
+    // Space lint errors, journal seed/shape mismatches, a journal whose
+    // replay diverges, bad option combos: all caused by the create request
+    // (or a stale journal it pointed at).
     throw ServiceError(errc::kInvalidSpace, e.what());
   }
-  replayed_ = tuner_->drain_replay();
   if (replayed_ > 0) {
     ADML_COUNT("service.sessions_resumed", 1);
     ADML_COUNT("service.trials_replayed",

@@ -5,8 +5,8 @@
 // request), a RemoteObjective stub (evaluation happens client-side, so
 // run() must never be called), the tuner, and — when the client asked for
 // durability — the tuner's crash-safe journal. Construction replays any
-// existing journal, so a daemon restart resumes every session to the
-// bit-identical incumbent before serving new traffic.
+// existing journal and ingests every reported trial in it, so a daemon
+// restart resumes every session before serving new traffic.
 //
 // Thread contract: ops are NOT internally synchronized. The SessionManager
 // serializes all access per session (its actor queue executes ops under

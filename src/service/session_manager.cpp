@@ -34,10 +34,11 @@ SessionConfig parse_session_config(const Request& request,
   config.id = request.session;
   config.max_pending = defaults.default_max_pending;
   core::BoOptions& bo = config.options;
-  // Service sessions always run the ask/tell state machine, which matches
-  // the depth-one forced-async pipeline (proposal indices stamped); the
-  // client controls actual evaluation parallelism by how many suggestions
-  // it holds outstanding, not by server-side executor knobs.
+  // Service sessions drive the tuner's ask/tell core directly; the client
+  // controls evaluation parallelism by how many suggestions it holds
+  // outstanding, not by server-side executor knobs. async_q = 1 only sets
+  // how replay reads legacy journal records without an ingested_at_ask
+  // field: as a serial drive.
   bo.async_q = 1;
   bo.async_workers = 0;
   bo.acq_threads = 1;
