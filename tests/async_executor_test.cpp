@@ -181,9 +181,9 @@ void expect_same_trials(const TuningResult& a, const TuningResult& b) {
 }
 
 TEST(AsyncTuner, ForcedDepthOnePipelineReproducesSynchronousLoop) {
-  // async_workers > 0 with async_q == 1 routes through the async pipeline
-  // at depth one; a pending-free ask() is one synchronous phase-2 iteration,
-  // so the trial sequence must match the classic loop bit for bit.
+  // async_workers is ignored at async_q == 1: both runs evaluate inline
+  // through the same ask/tell core, so the trial sequences must match bit
+  // for bit.
   SyntheticObjective sync_objective;
   BoTuner sync_tuner(sync_objective, fast_options(31, 12));
   const TuningResult sync = sync_tuner.tune();
@@ -194,10 +194,11 @@ TEST(AsyncTuner, ForcedDepthOnePipelineReproducesSynchronousLoop) {
   const TuningResult async = async_tuner.tune();
 
   expect_same_trials(sync, async);
-  // Only the async path stamps proposal indices (sync journals must stay
-  // byte-identical to pre-async revisions).
+  // Every path stamps proposal indices, so the sync journal is byte-
+  // identical to the session and pipelined ones.
   for (std::size_t i = 0; i < sync.trials.size(); ++i) {
-    EXPECT_EQ(sync.trials[i].proposal_index, -1) << i;
+    EXPECT_EQ(sync.trials[i].proposal_index, static_cast<std::int64_t>(i))
+        << i;
     EXPECT_EQ(async.trials[i].proposal_index, static_cast<std::int64_t>(i))
         << i;
   }
