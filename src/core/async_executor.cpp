@@ -14,8 +14,11 @@ AsyncEvalExecutor::AsyncEvalExecutor(std::size_t workers, bool serialize_runs)
 AsyncEvalExecutor::~AsyncEvalExecutor() {
   // ~ThreadPool drains the queue; every submitted task runs to completion
   // (the start gate only ever waits on tickets that are running or done, so
-  // the drain cannot deadlock). Uncollected results are discarded — the
+  // the drain cannot deadlock). It must run here, not as a member
+  // destructor: the tasks use mu_ and cv_, which are declared after pool_
+  // and so destroyed before it. Uncollected results are discarded — the
   // caller abandoning mid-pipeline is an exception path.
+  pool_.reset();
   results_.clear();
 }
 
