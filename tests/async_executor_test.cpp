@@ -338,6 +338,35 @@ TEST(AsyncJournal, MissingRecordIsRejectedNotSilentlyReplayed) {
   std::remove(journal.c_str());
 }
 
+TEST(AsyncJournal, ResumesAtAnotherDepthInTheRecordedAskOrder) {
+  // Replay follows each record's ingested_at_ask, not the resuming tuner's
+  // async_q: a q=4 journal resumes at q=1 with every replayed trial intact,
+  // and the continuation then runs at depth one.
+  const std::string journal = temp_path("async_depth_change.journal");
+  BoOptions options = async_options(81, 8, /*q=*/4, /*workers=*/4);
+  options.journal_path = journal;
+  SyntheticObjective reference;
+  const TuningResult want = BoTuner(reference, options).tune();
+  ASSERT_EQ(want.trials.size(), 8u);
+
+  SyntheticObjective objective;
+  options.async_q = 1;
+  options.max_evaluations = 11;
+  BoTuner resumed(objective, options);
+  const TuningResult got = resumed.tune();
+  EXPECT_EQ(resumed.replayed_trials(), 8u);
+  ASSERT_EQ(got.trials.size(), 11u);
+  for (std::size_t i = 0; i < want.trials.size(); ++i) {
+    EXPECT_TRUE(got.trials[i].config == want.trials[i].config) << i;
+    EXPECT_EQ(got.trials[i].ingested_at_ask, want.trials[i].ingested_at_ask)
+        << i;
+  }
+  for (std::size_t i = want.trials.size(); i < got.trials.size(); ++i) {
+    EXPECT_EQ(got.trials[i].ingested_at_ask, static_cast<std::int64_t>(i));
+  }
+  std::remove(journal.c_str());
+}
+
 // ---- observability ---------------------------------------------------------
 
 TEST(AsyncObs, PipelineMetricsEmittedOnlyOnTheAsyncPath) {
