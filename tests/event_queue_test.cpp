@@ -110,6 +110,63 @@ TEST(EventQueue, RunUntilSkipsCancelledHead) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
+TEST(EventQueue, StaleCancelAfterSlotReuseKeepsNewEvent) {
+  // Ids name a pooled slot plus its generation: once an event has run or
+  // been cancelled and its slot holds a newer event, the old id must not
+  // reach the new event, and pending() must stay exact throughout.
+  EventQueue q;
+  std::vector<int> ran;
+  const EventId first = q.schedule_at(1.0, [&] { ran.push_back(1); });
+  q.cancel(first);
+  EXPECT_EQ(q.pending(), 0u);
+  const EventId second = q.schedule_at(2.0, [&] { ran.push_back(2); });
+  EXPECT_NE(second, first);
+  q.cancel(first);  // stale: its slot now belongs to `second`
+  EXPECT_EQ(q.pending(), 1u);
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(ran, (std::vector<int>{2}));
+  EXPECT_EQ(q.pending(), 0u);
+
+  const EventId third = q.schedule_at(3.0, [&] { ran.push_back(3); });
+  q.cancel(second);  // already ran; slot reused by `third`
+  q.cancel(first);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(ran, (std::vector<int>{2, 3}));
+  q.cancel(third);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SlotPoolKeepsTimeThenFifoOrderUnderChurn) {
+  // Heavy schedule/cancel churn reuses slots out of order; execution must
+  // still follow (time, insertion order) and skip exactly the cancelled.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(q.schedule_at(static_cast<double>(i % 4),
+                                [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 64; i += 3) q.cancel(ids[static_cast<std::size_t>(i)]);
+  for (int i = 64; i < 80; ++i) {
+    q.schedule_at(static_cast<double>(i % 4),
+                  [&order, i] { order.push_back(i); });
+  }
+  std::size_t expected_live = 0;
+  std::vector<int> expected;
+  for (int t = 0; t < 4; ++t) {
+    for (int i = 0; i < 80; ++i) {
+      if (i % 4 != t || (i < 64 && i % 3 == 0)) continue;
+      expected.push_back(i);
+      ++expected_live;
+    }
+  }
+  EXPECT_EQ(q.pending(), expected_live);
+  q.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
   int depth = 0;

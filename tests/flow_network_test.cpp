@@ -133,6 +133,70 @@ TEST(FlowNetwork, RejectsBadInputs) {
   EXPECT_THROW(net.start_flow({l}, -1.0, [] {}), std::invalid_argument);
 }
 
+TEST(FlowNetwork, RejectsPathsLongerThanTwoLinks) {
+  EventQueue q;
+  FlowNetwork net(q);
+  const LinkId a = net.add_link(1e6);
+  const LinkId b = net.add_link(1e6);
+  const LinkId c = net.add_link(1e6);
+  EXPECT_THROW(net.start_flow({a, b, c}, 100.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FlowNetwork, FlowsStartedAtOneInstantReallocateOnce) {
+  // A runtime fans out one send per worker at the same virtual instant;
+  // the water-filling pass must run once for the whole batch.
+  constexpr int kWorkers = 16;
+  EventQueue q;
+  FlowNetwork net(q);
+  StarFabric fabric(q, net);
+  const std::size_t server = fabric.add_node(8e6);
+  std::vector<std::size_t> workers;
+  for (int w = 0; w < kWorkers; ++w) workers.push_back(fabric.add_node(8e6));
+  int done = 0;
+  for (std::size_t w : workers)
+    fabric.send(w, server, 1e5, 0.01, [&] { ++done; });
+  EXPECT_EQ(net.reallocations(), 0u);
+  q.run_until(0.01);
+  EXPECT_EQ(net.active_flows(), static_cast<std::size_t>(kWorkers));
+  EXPECT_EQ(net.reallocations(), 1u);
+  // Equal flows on one downlink share it evenly.
+  EXPECT_NEAR(net.link_utilization(fabric.downlink(server)), 8e6, 1e-3);
+  EXPECT_EQ(net.reallocations(), 1u);  // no flows started: nothing to flush
+  q.run();
+  EXPECT_EQ(done, kWorkers);
+}
+
+TEST(FlowNetwork, RateQueriesFlushPendingStarts) {
+  EventQueue q;
+  FlowNetwork net(q);
+  const LinkId link = net.add_link(1e6);
+  const FlowId a = net.start_flow({link}, 1e6, [] {});
+  const FlowId b = net.start_flow({link}, 1e6, [] {});
+  EXPECT_EQ(net.reallocations(), 0u);
+  EXPECT_DOUBLE_EQ(net.flow_rate(a), 0.5e6);
+  EXPECT_DOUBLE_EQ(net.flow_rate(b), 0.5e6);
+  EXPECT_EQ(net.reallocations(), 1u);
+  // The instant's flush event was cancelled by the inline flush: running
+  // the queue reallocates only on the two completions.
+  q.run();
+  EXPECT_EQ(net.reallocations(), 2u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(FlowNetwork, EmptyAndZeroByteFlowsDoNotReallocate) {
+  EventQueue q;
+  FlowNetwork net(q);
+  const LinkId link = net.add_link(1e6);
+  int done = 0;
+  net.start_flow({}, 1e9, [&] { ++done; });
+  net.start_flow({link}, 0.0, [&] { ++done; });
+  q.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(net.reallocations(), 0u);
+}
+
 TEST(FlowNetwork, LongVirtualTimesDoNotLivelock) {
   // Regression: once now() is large, the last bits of a flow used to need a
   // time step below the clock's ULP and the completion event spun forever.
