@@ -69,11 +69,19 @@ GaussianProcess::LmlResult GaussianProcess::negative_lml(
   k->set_hyperparams(packed.subspan(0, packed.size() - 1));
   const double noise_var = std::exp(packed.back());
 
+  // One pass over the lower-triangle pairs fills the Gram matrix and, pair
+  // by pair, the kernel-hyperparameter derivatives dK/dtheta (pair-major:
+  // pair p = i(i+1)/2 + j holds n_kernel contiguous entries), which the
+  // gradient loop below reads back in the same order.
   const std::size_t n = targets_std_.size();
+  const std::size_t n_kernel = packed.size() - 1;
   math::Matrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double v = k->eval(x_.row(i), x_.row(j));
+  std::vector<double> dk(n * (n + 1) / 2 * n_kernel);
+  for (std::size_t i = 0, p = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      const double v = k->eval_with_grad(
+          x_.row(i), x_.row(j),
+          std::span<double>(dk.data() + p * n_kernel, n_kernel));
       AUTODML_CHECK(std::isfinite(v),
                     "GP kernel produced non-finite value " +
                         std::to_string(v) + " for training pair (" +
@@ -104,23 +112,20 @@ GaussianProcess::LmlResult GaussianProcess::negative_lml(
   // factor (~n^3/3 flops for inverse + symmetric product) instead of n
   // unit-vector solves (~2n^3). Only the lower half is needed: both W and
   // dK/dtheta are symmetric, so each off-diagonal pair contributes twice.
-  const math::Matrix linv = factor.lower_inverse();
-  math::Matrix kinv_lower(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t kk = i; kk < n; ++kk) acc += linv(kk, i) * linv(kk, j);
-      kinv_lower(i, j) = acc;
-    }
-  }
-  const std::size_t n_kernel = packed.size() - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double w = alpha[i] * alpha[j] - kinv_lower(i, j);
+  // Row i of the transposed inverse is column i of L^{-1}, so each K^{-1}
+  // entry sum_{kk>=i} L^{-1}(kk,i) L^{-1}(kk,j) walks two contiguous rows.
+  const math::Matrix linv_t = factor.lower_inverse().transposed();
+  for (std::size_t i = 0, p = 0; i < n; ++i) {
+    const auto row_i = linv_t.row(i);
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      const auto row_j = linv_t.row(j);
+      double kinv_ij = 0.0;
+      for (std::size_t kk = i; kk < n; ++kk) kinv_ij += row_i[kk] * row_j[kk];
+      const double w = alpha[i] * alpha[j] - kinv_ij;
       const double pair_weight = (i == j) ? 1.0 : 2.0;
-      const math::Vec dk = k->grad_hyper(x_.row(i), x_.row(j));
+      const double* dk_ij = dk.data() + p * n_kernel;
       for (std::size_t t = 0; t < n_kernel; ++t) {
-        out.grad[t] += -0.5 * pair_weight * w * dk[t];  // negative LML
+        out.grad[t] += -0.5 * pair_weight * w * dk_ij[t];  // negative LML
       }
       if (i == j) out.grad[n_kernel] += -0.5 * w * noise_var;
     }

@@ -51,40 +51,52 @@ math::Vec ArdKernelBase::inverse_lengthscales() const {
   return out;
 }
 
-math::Vec ArdKernelBase::scaled_sq_diffs(std::span<const double> a,
-                                         std::span<const double> b) const {
+double ArdKernelBase::scaled_sq_dist(std::span<const double> a,
+                                     std::span<const double> b,
+                                     std::span<double> u) const {
   if (a.size() != lengthscales_.size() || b.size() != lengthscales_.size())
     throw std::invalid_argument("kernel: input dimension mismatch");
-  math::Vec u(lengthscales_.size());
-  for (std::size_t d = 0; d < u.size(); ++d) {
+  double s = 0.0;
+  for (std::size_t d = 0; d < lengthscales_.size(); ++d) {
     const double diff = (a[d] - b[d]) / lengthscales_[d];
-    u[d] = diff * diff;
+    const double ud = diff * diff;
+    if (!u.empty()) u[d] = ud;
+    s += ud;
   }
-  return u;
+  return s;
+}
+
+void ArdKernelBase::check_grad_size(std::span<const double> grad_out) const {
+  if (grad_out.size() != num_hyperparams())
+    throw std::invalid_argument("kernel: gradient size mismatch");
+}
+
+math::Vec Kernel::grad_hyper(std::span<const double> a,
+                             std::span<const double> b) const {
+  math::Vec grad(num_hyperparams());
+  eval_with_grad(a, b, grad);
+  return grad;
 }
 
 // ---- Squared exponential ---------------------------------------------------
 
 double SquaredExponentialArd::eval(std::span<const double> a,
                                    std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double s = 0.0;
-  for (double ud : u) s += ud;
-  return signal_variance_ * std::exp(-0.5 * s);
+  return signal_variance_ * std::exp(-0.5 * scaled_sq_dist(a, b));
 }
 
-math::Vec SquaredExponentialArd::grad_hyper(std::span<const double> a,
-                                            std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double s = 0.0;
-  for (double ud : u) s += ud;
+double SquaredExponentialArd::eval_with_grad(
+    std::span<const double> a, std::span<const double> b,
+    std::span<double> grad_out) const {
+  check_grad_size(grad_out);
+  const std::size_t dim = lengthscales_.size();
+  const double s = scaled_sq_dist(a, b, grad_out.first(dim));
   const double k = signal_variance_ * std::exp(-0.5 * s);
-  math::Vec grad(num_hyperparams());
   // d/d log l_d: u_d depends on l_d as l_d^{-2}; d u_d / d log l_d = -2 u_d,
   // so d k / d log l_d = k * u_d.
-  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = k * u[d];
-  grad.back() = k;  // d/d log s^2
-  return grad;
+  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = k * grad_out[d];
+  grad_out[dim] = k;  // d/d log s^2
+  return k;
 }
 
 std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
@@ -95,29 +107,27 @@ std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
 
 double Matern52Ard::eval(std::span<const double> a,
                          std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double r2 = 0.0;
-  for (double ud : u) r2 += ud;
+  const double r2 = scaled_sq_dist(a, b);
   const double r = std::sqrt(r2);
   return signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) *
          std::exp(-kSqrt5 * r);
 }
 
-math::Vec Matern52Ard::grad_hyper(std::span<const double> a,
-                                  std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double r2 = 0.0;
-  for (double ud : u) r2 += ud;
+double Matern52Ard::eval_with_grad(std::span<const double> a,
+                                   std::span<const double> b,
+                                   std::span<double> grad_out) const {
+  check_grad_size(grad_out);
+  const std::size_t dim = lengthscales_.size();
+  const double r2 = scaled_sq_dist(a, b, grad_out.first(dim));
   const double r = std::sqrt(r2);
   const double e = std::exp(-kSqrt5 * r);
-  math::Vec grad(num_hyperparams());
   // dk/dr = -(5/3) r (1 + sqrt5 r) e^{-sqrt5 r}; dr/d log l_d = -u_d / r.
   // Product has no 1/r singularity: dk/d log l_d = s^2 (5/3)(1+sqrt5 r) e u_d.
   const double coeff = signal_variance_ * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
-  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = coeff * u[d];
-  grad.back() =
-      signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
-  return grad;
+  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = coeff * grad_out[d];
+  const double k = signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
+  grad_out[dim] = k;  // d/d log s^2
+  return k;
 }
 
 std::unique_ptr<Kernel> Matern52Ard::clone() const {

@@ -31,9 +31,18 @@ class Kernel {
   virtual double eval(std::span<const double> a,
                       std::span<const double> b) const = 0;
 
+  /// Returns k(a,b) and writes d k(a,b) / d log_theta_i for every
+  /// hyperparameter to `grad_out` (size num_hyperparams()). Allocates
+  /// nothing; bitwise-equal to eval() plus grad_hyper(). The marginal-
+  /// likelihood gradient fills the Gram matrix and its derivatives in one
+  /// pass with it.
+  virtual double eval_with_grad(std::span<const double> a,
+                                std::span<const double> b,
+                                std::span<double> grad_out) const = 0;
+
   /// d k(a,b) / d log_theta_i for every hyperparameter.
-  virtual math::Vec grad_hyper(std::span<const double> a,
-                               std::span<const double> b) const = 0;
+  math::Vec grad_hyper(std::span<const double> a,
+                       std::span<const double> b) const;
 
   virtual std::unique_ptr<Kernel> clone() const = 0;
 };
@@ -60,9 +69,14 @@ class ArdKernelBase : public Kernel {
   math::Vec inverse_lengthscales() const;
 
  protected:
-  /// Scaled squared distance terms u_d = (a_d-b_d)^2 / l_d^2.
-  math::Vec scaled_sq_diffs(std::span<const double> a,
-                            std::span<const double> b) const;
+  /// r^2 = sum_d u_d over the scaled squared distance terms
+  /// u_d = (a_d-b_d)^2 / l_d^2, accumulated in dimension order. When `u`
+  /// is non-empty it receives the terms (u.size() == input_dim()).
+  double scaled_sq_dist(std::span<const double> a, std::span<const double> b,
+                        std::span<double> u = {}) const;
+
+  /// Throws unless grad_out has one slot per hyperparameter.
+  void check_grad_size(std::span<const double> grad_out) const;
 
   std::vector<double> lengthscales_;
   double signal_variance_ = 1.0;
@@ -74,8 +88,8 @@ class SquaredExponentialArd final : public ArdKernelBase {
   using ArdKernelBase::ArdKernelBase;
   double eval(std::span<const double> a,
               std::span<const double> b) const override;
-  math::Vec grad_hyper(std::span<const double> a,
-                       std::span<const double> b) const override;
+  double eval_with_grad(std::span<const double> a, std::span<const double> b,
+                        std::span<double> grad_out) const override;
   std::unique_ptr<Kernel> clone() const override;
 };
 
@@ -87,8 +101,8 @@ class Matern52Ard final : public ArdKernelBase {
   using ArdKernelBase::ArdKernelBase;
   double eval(std::span<const double> a,
               std::span<const double> b) const override;
-  math::Vec grad_hyper(std::span<const double> a,
-                       std::span<const double> b) const override;
+  double eval_with_grad(std::span<const double> a, std::span<const double> b,
+                        std::span<double> grad_out) const override;
   std::unique_ptr<Kernel> clone() const override;
 };
 

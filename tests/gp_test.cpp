@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "gp/gp.h"
 #include "gp/kernel.h"
 #include "math/cholesky.h"
 #include "math/optimize.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace autodml::gp {
 namespace {
@@ -90,6 +93,81 @@ TYPED_TEST(KernelTest, GradientMatchesNumerical) {
           << "hyper " << i << " trial " << trial;
     }
   }
+}
+
+// Reference derivatives in the original per-kernel form: scaled squared
+// differences materialized first, then summed, then scaled by k (SE) or
+// the Matern coefficient. Independent of eval_with_grad.
+math::Vec reference_grad(const SquaredExponentialArd& k,
+                         std::span<const double> a,
+                         std::span<const double> b) {
+  const auto ls = k.lengthscales();
+  math::Vec u(ls.size());
+  for (std::size_t d = 0; d < u.size(); ++d) {
+    const double diff = (a[d] - b[d]) / ls[d];
+    u[d] = diff * diff;
+  }
+  double s = 0.0;
+  for (double ud : u) s += ud;
+  const double kv = k.signal_variance() * std::exp(-0.5 * s);
+  math::Vec grad(u.size() + 1);
+  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = kv * u[d];
+  grad.back() = kv;
+  return grad;
+}
+
+math::Vec reference_grad(const Matern52Ard& k, std::span<const double> a,
+                         std::span<const double> b) {
+  constexpr double kSqrt5 = 2.23606797749978969;
+  const auto ls = k.lengthscales();
+  math::Vec u(ls.size());
+  for (std::size_t d = 0; d < u.size(); ++d) {
+    const double diff = (a[d] - b[d]) / ls[d];
+    u[d] = diff * diff;
+  }
+  double r2 = 0.0;
+  for (double ud : u) r2 += ud;
+  const double r = std::sqrt(r2);
+  const double e = std::exp(-kSqrt5 * r);
+  const double sv = k.signal_variance();
+  const double coeff = sv * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
+  math::Vec grad(u.size() + 1);
+  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = coeff * u[d];
+  grad.back() = sv * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
+  return grad;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TYPED_TEST(KernelTest, EvalWithGradIsBitwiseEvalPlusGradHyper) {
+  util::Rng rng(21);
+  TypeParam k(4);
+  for (int trial = 0; trial < 40; ++trial) {
+    math::Vec theta(k.num_hyperparams());
+    const auto [lo, hi] = k.hyper_bounds();
+    for (std::size_t i = 0; i < theta.size(); ++i)
+      theta[i] = rng.uniform(lo[i], hi[i]);
+    k.set_hyperparams(theta);
+    math::Vec a(4), b(4);
+    for (int d = 0; d < 4; ++d) {
+      a[d] = rng.uniform();
+      b[d] = trial % 5 == 0 ? a[d] : rng.uniform();  // include r = 0
+    }
+    math::Vec grad(k.num_hyperparams(), -1.0);
+    const double v = k.eval_with_grad(a, b, grad);
+    EXPECT_EQ(bits(v), bits(k.eval(a, b))) << "trial " << trial;
+    const math::Vec want = reference_grad(k, a, b);
+    const math::Vec wrapped = k.grad_hyper(a, b);
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      EXPECT_EQ(bits(grad[i]), bits(want[i])) << "hyper " << i << " trial "
+                                              << trial;
+      EXPECT_EQ(bits(wrapped[i]), bits(want[i])) << "hyper " << i;
+    }
+  }
+  math::Vec short_grad(k.num_hyperparams() - 1);
+  EXPECT_THROW(k.eval_with_grad(math::Vec(4, 0.1), math::Vec(4, 0.2),
+                                short_grad),
+               std::invalid_argument);
 }
 
 TYPED_TEST(KernelTest, CloneIsIndependent) {
@@ -299,6 +377,141 @@ TEST(GaussianProcess, RefitKeepsHyperparameters) {
   const double lml1 = gp.log_marginal_likelihood();
   gp.refit(x, y);  // same data, no hyperopt
   EXPECT_NEAR(gp.log_marginal_likelihood(), lml1, 1e-9);
+}
+
+// ---- fused LML pass vs the two-pass reference, bit for bit ------------------------
+
+/// Negative LML and gradient by the original two-pass formula: the Gram
+/// matrix from eval(), K^{-1} assembled from the untransposed L^{-1}, then a
+/// second sweep over the pairs with per-pair reference derivatives.
+/// `jitter` receives the diagonal boost the factorization needed.
+template <typename K>
+GaussianProcess::LmlResult reference_negative_lml(
+    const math::Matrix& x, std::span<const double> y,
+    std::span<const double> packed, double* jitter) {
+  constexpr double kLog2Pi = 1.8378770664093454836;
+  K k(x.cols());
+  k.set_hyperparams(packed.subspan(0, packed.size() - 1));
+  const double noise_var = std::exp(packed.back());
+  const std::size_t n = y.size();
+  const double y_mean = util::mean(y);
+  const double sd = util::stddev(y);
+  const double y_scale = sd > 1e-12 ? sd : 1.0;
+  math::Vec t(n);
+  for (std::size_t i = 0; i < n; ++i) t[i] = (y[i] - y_mean) / y_scale;
+
+  math::Matrix gram(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double v = k.eval(x.row(i), x.row(j));
+      gram(i, j) = v;
+      gram(j, i) = v;
+    }
+    gram(i, i) += noise_var;
+  }
+  const math::CholeskyFactor factor = math::cholesky_with_jitter(gram);
+  *jitter = factor.jitter;
+  const math::Vec alpha = factor.solve(t);
+  GaussianProcess::LmlResult out;
+  out.value = -(-0.5 * math::dot(t, alpha) - 0.5 * factor.log_det() -
+                0.5 * static_cast<double>(n) * kLog2Pi);
+  out.grad.assign(packed.size(), 0.0);
+  const math::Matrix linv = factor.lower_inverse();
+  math::Matrix kinv_lower(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = i; kk < n; ++kk) acc += linv(kk, i) * linv(kk, j);
+      kinv_lower(i, j) = acc;
+    }
+  }
+  const std::size_t n_kernel = packed.size() - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double w = alpha[i] * alpha[j] - kinv_lower(i, j);
+      const double pair_weight = (i == j) ? 1.0 : 2.0;
+      const math::Vec dk = reference_grad(k, x.row(i), x.row(j));
+      for (std::size_t p = 0; p < n_kernel; ++p)
+        out.grad[p] += -0.5 * pair_weight * w * dk[p];
+      if (i == j) out.grad[n_kernel] += -0.5 * w * noise_var;
+    }
+  }
+  return out;
+}
+
+template <typename K>
+class LmlBitwiseTest : public ::testing::Test {};
+TYPED_TEST_SUITE(LmlBitwiseTest, KernelTypes);
+
+TYPED_TEST(LmlBitwiseTest, NegativeLmlMatchesTwoPassReference) {
+  constexpr std::size_t kDim = 3;
+  util::Rng rng(33);
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
+    const math::Matrix x = random_inputs(n, kDim, rng);
+    math::Vec y(n);
+    for (std::size_t i = 0; i < n; ++i)
+      y[i] = std::sin(4.0 * x(i, 0)) + x(i, 1) * x(i, 2) + 0.1 * rng.normal();
+    GaussianProcess gp(std::make_unique<TypeParam>(kDim));
+    gp.refit(x, y);
+
+    const TypeParam proto(kDim);
+    auto [lo, hi] = proto.hyper_bounds();
+    lo.push_back(std::log(1e-8));
+    hi.push_back(0.0);
+    std::vector<math::Vec> thetas;
+    math::Vec start = proto.hyperparams();
+    start.push_back(std::log(1e-2));
+    thetas.push_back(start);
+    thetas.push_back({std::log(0.05), std::log(0.2), std::log(3.0),
+                      std::log(4.0), std::log(1e-6)});
+    for (int r = 0; r < 3; ++r) {
+      math::Vec theta(lo.size());
+      for (std::size_t i = 0; i < theta.size(); ++i)
+        theta[i] = rng.uniform(lo[i], hi[i]);
+      thetas.push_back(theta);
+    }
+    for (const math::Vec& theta : thetas) {
+      double jitter = 0.0;
+      const auto want =
+          reference_negative_lml<TypeParam>(x, y, theta, &jitter);
+      const auto got = gp.negative_lml(theta);
+      EXPECT_EQ(bits(got.value), bits(want.value)) << "n=" << n;
+      ASSERT_EQ(got.grad.size(), want.grad.size());
+      for (std::size_t i = 0; i < want.grad.size(); ++i) {
+        EXPECT_EQ(bits(got.grad[i]), bits(want.grad[i]))
+            << "n=" << n << " hyper " << i;
+      }
+    }
+  }
+}
+
+TYPED_TEST(LmlBitwiseTest, NearDuplicateRowsEscalateJitterIdentically) {
+  // Rows that differ by 1e-13 under long lengthscales and a noise variance
+  // below the Gram matrix's rounding make K + sigma^2 I numerically
+  // singular, so the factorization must add jitter; the fused pass has to
+  // land on the same boosted factor.
+  constexpr std::size_t kDim = 2;
+  constexpr std::size_t kN = 17;
+  util::Rng rng(34);
+  math::Matrix x(kN, kDim);
+  math::Vec y(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const std::size_t base = i / 2;  // pairs of near-identical rows
+    for (std::size_t d = 0; d < kDim; ++d)
+      x(i, d) = 0.05 * static_cast<double>(base + d) + (i % 2) * 1e-13;
+    y[i] = rng.normal();
+  }
+  GaussianProcess gp(std::make_unique<TypeParam>(kDim));
+  gp.refit(x, y);
+  const math::Vec theta{std::log(15.0), std::log(15.0), std::log(40.0),
+                        std::log(1e-16)};
+  double jitter = 0.0;
+  const auto want = reference_negative_lml<TypeParam>(x, y, theta, &jitter);
+  EXPECT_GT(jitter, 0.0);
+  const auto got = gp.negative_lml(theta);
+  EXPECT_EQ(bits(got.value), bits(want.value));
+  for (std::size_t i = 0; i < want.grad.size(); ++i)
+    EXPECT_EQ(bits(got.grad[i]), bits(want.grad[i])) << "hyper " << i;
 }
 
 }  // namespace
