@@ -5,9 +5,9 @@
 // deterministic FIFO order — determinism is a hard requirement because every
 // experiment must be reproducible from a seed.
 //
-// Handlers live in a slot pool (a vector plus a free list), so scheduling
-// and cancelling allocate nothing once the pool has grown to the peak number
-// of pending events. An EventId packs the slot index with the slot's
+// Handlers live in a slot pool (a vector plus a free list), so the queue
+// itself allocates nothing per event once the pool and the heap have grown
+// to the peak number of pending events. An EventId packs the slot index with the slot's
 // generation, which is bumped whenever the slot is freed: a stale id (its
 // event already ran or was cancelled, and the slot now holds a newer event)
 // no longer matches and is ignored. Cancellation is lazy: cancel() frees the
