@@ -152,16 +152,13 @@ TEST(EventQueue, SlotPoolKeepsTimeThenFifoOrderUnderChurn) {
     q.schedule_at(static_cast<double>(i % 4),
                   [&order, i] { order.push_back(i); });
   }
-  std::size_t expected_live = 0;
   std::vector<int> expected;
   for (int t = 0; t < 4; ++t) {
     for (int i = 0; i < 80; ++i) {
-      if (i % 4 != t || (i < 64 && i % 3 == 0)) continue;
-      expected.push_back(i);
-      ++expected_live;
+      if (i % 4 == t && !(i < 64 && i % 3 == 0)) expected.push_back(i);
     }
   }
-  EXPECT_EQ(q.pending(), expected_live);
+  EXPECT_EQ(q.pending(), expected.size());
   q.run();
   EXPECT_EQ(order, expected);
   EXPECT_TRUE(q.empty());

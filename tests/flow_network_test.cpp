@@ -178,8 +178,8 @@ TEST(FlowNetwork, RateQueriesFlushPendingStarts) {
   EXPECT_DOUBLE_EQ(net.flow_rate(a), 0.5e6);
   EXPECT_DOUBLE_EQ(net.flow_rate(b), 0.5e6);
   EXPECT_EQ(net.reallocations(), 1u);
-  // The instant's flush event was cancelled by the inline flush: running
-  // the queue reallocates only on the two completions.
+  // The inline flush cancelled the instant's flush event, so running the
+  // queue adds one reallocation: the completion event that retires both.
   q.run();
   EXPECT_EQ(net.reallocations(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
