@@ -188,10 +188,7 @@ void FlowNetwork::on_completion_event() {
     if (f.remaining_bits <= kBitEpsilon) return true;
     return f.rate > 0.0 && f.remaining_bits / f.rate <= time_dust;
   };
-  // Callbacks may start flows; take the scratch list so a nested use of
-  // the member cannot clobber it.
-  std::vector<std::function<void()>> callbacks = std::move(done_callbacks_);
-  callbacks.clear();
+  std::vector<std::function<void()>> callbacks;
   std::size_t kept = 0;
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     if (is_done(flows_[f])) {
@@ -229,8 +226,6 @@ void FlowNetwork::on_completion_event() {
   // Callbacks run last: they may start new flows, which mark the network
   // dirty for this instant's flush.
   for (auto& cb : callbacks) cb();
-  callbacks.clear();
-  done_callbacks_ = std::move(callbacks);
 }
 
 std::size_t StarFabric::add_node(double nic_bps) {

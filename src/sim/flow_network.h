@@ -130,7 +130,6 @@ class FlowNetwork {
   std::vector<std::size_t> unfrozen_;
   std::vector<std::size_t> still_unfrozen_;
   std::vector<std::size_t> frozen_;
-  std::vector<std::function<void()>> done_callbacks_;
 };
 
 /// Star topology helper: per-node uplink/downlink pairs over an ideal core.
