@@ -1,9 +1,10 @@
 // Experiment R-F13 (extension) — synchronous parallel tuning.
 //
-// Kriging-believer batch proposals (core::propose_batch) let `q`
+// Rounds of `q` asks held outstanding on one BoTuner session (each
+// conditioned on kriging-believer fantasies of the others) let `q`
 // configurations train concurrently on separate clusters; the search's
 // wall-clock per round is then the slowest run instead of the sum. Sweep
-// q at a fixed total evaluation count. Expected shape: wall-clock drops
+// q at a fixed total evaluation count; round 0 is a `q`-point design. Expected shape: wall-clock drops
 // ~q-fold while final quality degrades only mildly (fantasies lose some
 // sequential information). Rounds remain straggler-bound; bench_async
 // (R-A14) measures the asynchronous pipeline that removes the barrier.
@@ -32,13 +33,13 @@ int main(int argc, char** argv) {
       const std::uint64_t seed = 2600 + s;
       wl::Evaluator evaluator(workload, seed);
       wl::EvaluatorObjective objective(evaluator);
-      baselines::ParallelBoOptions options;
-      options.batch_size = q;
-      options.rounds = rounds;
+      core::BoOptions options;
+      options.initial_design_size = q;
+      options.max_evaluations = q * rounds;
       options.seed = seed;
       options.surrogate.gp.restarts = 1;
       const baselines::ParallelBoResult result =
-          baselines::parallel_bo(objective, options);
+          baselines::parallel_bo(objective, options, q);
       wall_hours.push_back(result.wall_clock_seconds / 3600.0);
       spent_hours.push_back(evaluator.total_spent_seconds() / 3600.0);
       if (result.tuning.found_feasible()) {

@@ -1,83 +1,33 @@
 #include "baselines/parallel_bo.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "config/sampler.h"
-#include "core/acquisition_optimizer.h"
-#include "core/early_termination.h"
-#include "util/thread_pool.h"
+#include <stdexcept>
 
 namespace autodml::baselines {
 
-// Evaluation stays single-threaded: each round runs its kriging-believer
-// batch (core::propose_batch) sequentially and charges the *slowest* member
-// to wall_clock_seconds, modeling q machines running in parallel — the
-// synchronous-rounds counterpart of BoTuner's async_q pipeline, which
-// overlaps evaluations for real. Acquisition scoring inside each proposal
-// may use real threads (acq_threads > 1) — its deterministic reduction
-// keeps every number this baseline reports identical.
-//
-// Lock discipline: this driver owns no mutex-guarded state of its own.
-// The only concurrency is inside core::propose_candidate's chunked
-// scoring, whose workers write disjoint slots (see
-// acquisition_optimizer.cpp); the pool's annotated queue mutex
-// (util/thread_pool.h) is the sole capability in play, so clang
-// -Wthread-safety verifies this file by verifying its callees.
 ParallelBoResult parallel_bo(core::ObjectiveFunction& objective,
-                             const ParallelBoOptions& options) {
-  if (options.batch_size < 1 || options.rounds < 1)
-    throw std::invalid_argument("parallel_bo: bad batch/round counts");
-  util::Rng rng(options.seed);
-  const conf::ConfigSpace& space = objective.space();
-
-  std::unique_ptr<util::ThreadPool> acq_pool;
-  core::AcqOptimizerOptions acq_optimizer = options.acq_optimizer;
-  if (options.acq_threads > 1) {
-    acq_pool = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(options.acq_threads));
-    acq_optimizer.pool = acq_pool.get();
-  }
-
-  core::EarlyTermOptions early_term = options.early_term;
-  early_term.target_metric = objective.target_metric();
-  early_term.objective_is_cost = objective.objective_is_cost();
-
+                             core::BoOptions options, int batch_size) {
+  if (batch_size < 1)
+    throw std::invalid_argument("parallel_bo: batch_size must be >= 1");
+  core::BoTuner tuner(objective, std::move(options));
   ParallelBoResult result;
-  std::vector<core::Trial> history;
-
-  const auto run_round = [&](const std::vector<conf::Config>& batch,
-                             bool allow_early_term) {
+  while (!tuner.session_done()) {
+    std::vector<core::BoTuner::SessionAsk> round;
+    while (static_cast<int>(round.size()) < batch_size) {
+      std::optional<core::BoTuner::SessionAsk> ask = tuner.ask_next();
+      if (!ask) break;
+      round.push_back(std::move(*ask));
+    }
+    // Barrier: the round ends when its slowest run does.
     double slowest = 0.0;
-    for (const conf::Config& config : batch) {
-      core::Trial trial;
-      trial.config = config;
-      if (allow_early_term && early_term.enabled &&
-          result.tuning.found_feasible()) {
-        core::EarlyTerminationPolicy policy(early_term,
-                                            result.tuning.best_objective);
-        trial.outcome = objective.run(config, &policy);
-      } else {
-        trial.outcome = objective.run(config, nullptr);
-      }
+    for (const core::BoTuner::SessionAsk& ask : round) {
+      core::Trial trial = tuner.evaluate(ask);
       slowest = std::max(slowest, trial.outcome.spent_seconds);
-      history.push_back(trial);
-      core::record_trial(result.tuning, std::move(trial));
+      tuner.tell_next(ask.ticket, std::move(trial));
     }
     result.wall_clock_seconds += slowest;
-  };
-
-  // Round 0: space-filling design.
-  run_round(conf::latin_hypercube(
-                space, static_cast<std::size_t>(options.batch_size), rng),
-            /*allow_early_term=*/false);
-
-  for (int round = 1; round < options.rounds; ++round) {
-    const std::vector<conf::Config> batch = core::propose_batch(
-        space, options.surrogate, options.acquisition, history,
-        static_cast<std::size_t>(options.batch_size), rng, acq_optimizer);
-    run_round(batch, /*allow_early_term=*/true);
   }
+  result.tuning = tuner.session_result();
   return result;
 }
 

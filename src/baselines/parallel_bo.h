@@ -1,33 +1,19 @@
 // Synchronous parallel Bayesian optimization.
 //
 // When `batch_size` training runs can execute concurrently (separate
-// clusters), the tuner proposes a batch per round via the constant-liar
-// heuristic and the round's wall-clock time is the *maximum* of its runs'
-// evaluation times instead of their sum. This driver executes rounds
-// sequentially (the simulated evaluations are single-threaded) but accounts
-// wall clock as a parallel executor would — the quantity experiment R-F13
-// reports. Acquisition scoring inside each proposal can optionally run on a
-// thread pool (`acq_threads`) without changing any proposal.
+// clusters), each round asks one BoTuner session for up to `batch_size`
+// proposals — each conditioned on kriging-believer fantasies of the ones
+// asked before it — evaluates them, and tells the results back. The
+// round's wall-clock time is the *maximum* of its runs' evaluation times
+// instead of their sum. This driver evaluates sequentially (the simulated
+// evaluations are single-threaded) but accounts wall clock as a parallel
+// executor would — the quantity experiment R-F13 reports.
 #pragma once
 
 #include "core/bo_tuner.h"
 #include "core/tuner_types.h"
 
 namespace autodml::baselines {
-
-struct ParallelBoOptions {
-  int batch_size = 4;
-  int rounds = 8;  // total evaluations = batch_size * rounds (+ design)
-  core::AcquisitionKind acquisition = core::AcquisitionKind::kLogEi;
-  core::EarlyTermOptions early_term;
-  core::SurrogateOptions surrogate;
-  core::AcqOptimizerOptions acq_optimizer;
-  /// Worker threads for acquisition-candidate scoring inside each
-  /// constant-liar proposal (1 = serial). Deterministic at any value: the
-  /// batches — and every number this baseline reports — are identical.
-  int acq_threads = 1;
-  std::uint64_t seed = 1;
-};
 
 struct ParallelBoResult {
   core::TuningResult tuning;
@@ -36,10 +22,12 @@ struct ParallelBoResult {
   double wall_clock_seconds = 0.0;
 };
 
-/// First round is a Latin-hypercube design of `batch_size` points; every
-/// later round is a constant-liar batch. Early termination applies once an
-/// incumbent exists.
+/// Drives a BoTuner session in rounds of `batch_size` asks until its budget
+/// is spent. The tuner's options decide everything else: set
+/// `initial_design_size = batch_size` for a space-filling first round.
+/// Early termination, when enabled, races each run against the incumbent
+/// known at its ask. Throws std::invalid_argument when batch_size < 1.
 ParallelBoResult parallel_bo(core::ObjectiveFunction& objective,
-                             const ParallelBoOptions& options);
+                             core::BoOptions options, int batch_size);
 
 }  // namespace autodml::baselines

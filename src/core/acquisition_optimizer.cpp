@@ -159,48 +159,4 @@ Trial make_fantasy_trial(const SurrogateModel& model,
   return fantasy;
 }
 
-std::vector<conf::Config> propose_batch(
-    const conf::ConfigSpace& space, SurrogateOptions surrogate_options,
-    AcquisitionKind kind, std::span<const Trial> history,
-    std::size_t batch_size, util::Rng& rng,
-    const AcqOptimizerOptions& options) {
-  // Hyperparameters are fit once on the real history; fantasy refits reuse
-  // them (a fantasy point should not distort the lengthscales).
-  surrogate_options.hyperopt_every = 1 << 20;
-  SurrogateModel model(space, surrogate_options, rng.split().next_u64());
-  std::vector<Trial> augmented(history.begin(), history.end());
-  // Everything already evaluated or already in this batch. The uniform
-  // fallback must respect it too: resubmitting an evaluated configuration
-  // would waste a full (hours-long) evaluation.
-  std::set<math::Vec> seen = encode_history(space, history);
-
-  std::vector<conf::Config> batch;
-  batch.reserve(batch_size);
-  for (std::size_t i = 0; i < batch_size; ++i) {
-    model.update(augmented);
-    std::optional<conf::Config> candidate;
-    if (model.ready()) {
-      candidate = propose_candidate(model, kind, augmented, rng, options);
-    }
-    if (!candidate) {
-      // Uniform fallback, rejection-sampled against `seen`. A small discrete
-      // space can be genuinely exhausted; give up after a bounded number of
-      // draws and return the shorter batch rather than a duplicate.
-      constexpr int kFallbackDraws = 64;
-      for (int attempt = 0; attempt < kFallbackDraws; ++attempt) {
-        conf::Config draw = space.sample_uniform(rng);
-        if (!seen.count(space.encode(draw))) {
-          candidate = std::move(draw);
-          break;
-        }
-      }
-    }
-    if (!candidate) break;  // space exhausted: fewer, but distinct, configs
-    seen.insert(space.encode(*candidate));
-    augmented.push_back(make_fantasy_trial(model, *candidate));
-    batch.push_back(std::move(*candidate));
-  }
-  return batch;
-}
-
 }  // namespace autodml::core

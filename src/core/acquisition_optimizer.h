@@ -53,18 +53,4 @@ std::optional<conf::Config> propose_candidate(
 Trial make_fantasy_trial(const SurrogateModel& model,
                          const conf::Config& config);
 
-/// Batch (parallel) proposals via the kriging-believer heuristic: after
-/// each proposal, a tagged fantasy observation at the model's posterior
-/// mean is appended and the surrogate is refit, pushing subsequent
-/// proposals away from the pending point. (Earlier revisions used a raw
-/// constant liar at the incumbent, whose untagged `feasible = true` label
-/// leaked into the feasibility GP.) Returns up to `batch_size` distinct
-/// configurations (fewer if the space is exhausted). Used when `batch_size`
-/// training runs can execute concurrently on separate clusters.
-std::vector<conf::Config> propose_batch(
-    const conf::ConfigSpace& space, SurrogateOptions surrogate_options,
-    AcquisitionKind kind, std::span<const Trial> history,
-    std::size_t batch_size, util::Rng& rng,
-    const AcqOptimizerOptions& options = {});
-
 }  // namespace autodml::core

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <set>
+#include <span>
 
 #include "analysis/space_lint.h"
 #include "config/sampler.h"
@@ -153,23 +155,35 @@ void publish_pool_stats(const std::string& pool,
                  static_cast<double>(stats.peak_queue_depth));
 }
 
+/// Uniform draw that skips configurations in `seen` (evaluated, or
+/// outstanding as fantasies): resubmitting one wastes a whole evaluation.
+/// A small discrete space can be exhausted, so rejection is bounded and
+/// the last draw is kept. Extra draws happen only after a duplicate.
+conf::Config sample_unseen(const conf::ConfigSpace& space,
+                           std::span<const Trial> seen, util::Rng& rng) {
+  constexpr int kDraws = 64;
+  std::set<math::Vec> encoded;
+  for (const Trial& t : seen) encoded.insert(space.encode(t.config));
+  conf::Config draw = space.sample_uniform(rng);
+  for (int i = 1; i < kDraws && encoded.count(space.encode(draw)) != 0; ++i) {
+    draw = space.sample_uniform(rng);
+  }
+  return draw;
+}
+
 }  // namespace
 
 /// One outstanding proposal. Created by ask(); its result is ingested in
-/// index order, whether it was evaluated inline, on the executor, by a
-/// session client, or recovered from the journal.
-struct BoTuner::Proposal {
-  std::int64_t index = 0;
+/// ticket order, whether it was evaluated inline, on the executor, by a
+/// session client, or recovered from the journal. The incumbent snapshot
+/// is the freshest deterministically known best when this evaluation
+/// starts, so the early-termination policy races in-flight runs against it
+/// (and reclaims the budget of hopeless ones) without reading racy
+/// cross-thread state.
+struct BoTuner::Proposal : SessionAsk {
   /// Trials ingested when this proposal was asked; journaled so replay can
   /// re-issue asks and ingests in the recorded order.
   std::int64_t ingested_at_ask = 0;
-  conf::Config config;
-  bool allow_early_term = false;
-  /// Incumbent snapshot at proposal time: the freshest deterministically
-  /// known best when this evaluation starts, so the early-termination
-  /// policy races in-flight runs against it (and reclaims the budget of
-  /// hopeless ones) without reading racy cross-thread state.
-  double incumbent = std::numeric_limits<double>::infinity();
   /// Kriging-believer placeholder conditioning later asks (never trained
   /// into feasibility/cost models, never journaled).
   Trial fantasy;
@@ -248,7 +262,7 @@ void BoTuner::replay_journal() {
         max_diff > 1e-9) {
       throw std::invalid_argument(
           "BoTuner: journal replay diverged at trial " +
-          std::to_string(p.index) + " (journaled " +
+          std::to_string(p.ticket) + " (journaled " +
           record.config.to_string() + " after " + std::to_string(asked_at) +
           " ingests, proposed " + p.config.to_string() + " after " +
           std::to_string(s.result.trials.size()) +
@@ -260,7 +274,7 @@ void BoTuner::replay_journal() {
     // relative to the live evaluations asked after this one.
     objective_->notify_replayed(record);
     ADML_COUNT("tuner.replayed_trials", 1);
-    s.told.emplace(p.index, std::move(record));
+    s.told.emplace(p.ticket, std::move(record));
     ++replayed_;
   }
   replay_.clear();
@@ -269,7 +283,7 @@ void BoTuner::replay_journal() {
 bool BoTuner::ingest_told_front() {
   LoopState& s = *loop_;
   if (s.pending.empty()) return false;
-  const auto it = s.told.find(s.pending.front().index);
+  const auto it = s.told.find(s.pending.front().ticket);
   if (it == s.told.end()) return false;
   Trial trial = std::move(it->second);
   s.told.erase(it);
@@ -284,10 +298,10 @@ void BoTuner::ingest_front(Trial trial) {
   // Keep the bit-exact proposal config: a session client's copy went
   // through a JSON round trip.
   trial.config = front.config;
-  trial.proposal_index = front.index;
+  trial.proposal_index = front.ticket;
   trial.ingested_at_ask = front.ingested_at_ask;
   // Proposals 0..replayed_-1 were recovered from the journal.
-  if (front.index >= static_cast<std::int64_t>(replayed_)) {
+  if (front.ticket >= static_cast<std::int64_t>(replayed_)) {
     ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
                    trial.outcome.spent_seconds / 3600.0);
     if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
@@ -311,12 +325,7 @@ std::size_t BoTuner::drain_replay() {
 std::optional<BoTuner::SessionAsk> BoTuner::ask_next() {
   LoopState& s = session();
   if (!can_propose()) return std::nullopt;
-  const Proposal& p = ask();
-  SessionAsk out;
-  out.ticket = p.index;
-  out.config = p.config;
-  out.allow_early_term = p.allow_early_term && options_.early_term.enabled;
-  out.incumbent = p.incumbent;
+  SessionAsk out = ask();
   ADML_GAUGE_MAX("tuner.session_pending_peak",
                  static_cast<double>(s.pending.size()));
   return out;
@@ -325,7 +334,7 @@ std::optional<BoTuner::SessionAsk> BoTuner::ask_next() {
 void BoTuner::tell_next(std::int64_t ticket, Trial trial) {
   LoopState& s = session();
   // Outstanding tickets are the contiguous range [front, next_index).
-  if (s.pending.empty() || ticket < s.pending.front().index ||
+  if (s.pending.empty() || ticket < s.pending.front().ticket ||
       ticket >= s.next_index || s.told.count(ticket) != 0) {
     throw std::invalid_argument(
         "BoTuner: tell_next ticket " + std::to_string(ticket) +
@@ -354,16 +363,16 @@ bool BoTuner::session_done() const {
   return !can_propose() && session_pending() == 0;
 }
 
-Trial BoTuner::evaluate(const Proposal& p) {
+Trial BoTuner::evaluate(const SessionAsk& ask) {
   Trial trial;
-  if (p.allow_early_term && options_.early_term.enabled) {
-    EarlyTerminationPolicy policy(options_.early_term, p.incumbent);
-    trial.outcome = objective_->run(p.config, &policy);
+  if (ask.allow_early_term) {
+    EarlyTerminationPolicy policy(options_.early_term, ask.incumbent);
+    trial.outcome = objective_->run(ask.config, &policy);
     if (trial.outcome.aborted) {
       trial.outcome.projected_objective = policy.last_projection_unbiased();
     }
   } else {
-    trial.outcome = objective_->run(p.config, nullptr);
+    trial.outcome = objective_->run(ask.config, nullptr);
   }
   return trial;
 }
@@ -371,15 +380,15 @@ Trial BoTuner::evaluate(const Proposal& p) {
 const BoTuner::Proposal& BoTuner::ask() {
   LoopState& s = *loop_;
   Proposal p;
-  p.index = s.next_index++;
+  p.ticket = s.next_index++;
   p.ingested_at_ask = static_cast<std::int64_t>(s.result.trials.size());
   p.incumbent = s.result.best_objective;
   SurrogateModel* model = &surrogate_;
-  if (p.index < static_cast<std::int64_t>(s.design.size())) {
+  if (p.ticket < static_cast<std::int64_t>(s.design.size())) {
     // Initial design: run to completion (uncensored anchors). No model is
     // consulted, so the fantasy carries no belief (+inf objective) and only
     // dedups the pending point.
-    p.config = s.design[static_cast<std::size_t>(p.index)];
+    p.config = s.design[static_cast<std::size_t>(p.ticket)];
   } else {
     // Condition the proposal on the history plus kriging-believer fantasies
     // of the outstanding proposals, so the acquisition repels them instead
@@ -411,10 +420,10 @@ const BoTuner::Proposal& BoTuner::ask() {
     }
     if (!candidate) {
       ADML_COUNT("tuner.random_proposals", 1);
-      candidate = objective_->space().sample_uniform(rng_);
+      candidate = sample_unseen(objective_->space(), *seen, rng_);
     }
     p.config = std::move(*candidate);
-    p.allow_early_term = true;
+    p.allow_early_term = options_.early_term.enabled;
   }
   p.fantasy = make_fantasy_trial(*model, p.config);
   s.pending.push_back(std::move(p));

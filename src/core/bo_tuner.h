@@ -135,6 +135,12 @@ class BoTuner {
   /// evaluation/spent budget cannot pay for another proposal.
   std::optional<SessionAsk> ask_next();
 
+  /// Runs `ask` on the tuner's objective exactly as tune() runs its own
+  /// proposals: under the early-termination policy, raced against the
+  /// ask's incumbent snapshot, when the ask allows it. Thread-safe with
+  /// respect to the loop state.
+  Trial evaluate(const SessionAsk& ask);
+
   /// Reports the outcome for an outstanding ticket. The trial's config is
   /// replaced by the bit-exact proposal config (client copies go through a
   /// JSON round trip); out-of-order tells are buffered and ingested once
@@ -191,9 +197,6 @@ class BoTuner {
   /// outcomes known. Throws std::invalid_argument on divergence.
   void replay_journal();
 
-  /// Runs `p` on the objective, under the early-termination policy when
-  /// it allows one. Thread-safe with respect to the loop state.
-  Trial evaluate(const Proposal& p);
   std::vector<conf::Config> initial_configs();
   /// Quasi-random proposal used while the surrogate is degraded. Driven by
   /// a dedicated seed-derived Halton stream — not rng_ and not the thread

@@ -188,66 +188,6 @@ TEST(AcqOptimizer, NeighborhoodSeedsComeFromBestTrials) {
   EXPECT_LT(std::abs(candidate->get_double("x") - 0.31), 0.45);
 }
 
-TEST(ProposeBatch, UniformFallbackRespectsEvaluatedConfigs) {
-  // Four-config discrete space, three already evaluated — all infeasible,
-  // so the surrogate never becomes ready and every proposal goes through
-  // the uniform fallback. The fallback must skip the evaluated configs
-  // (resubmitting one wastes an hours-long run) and stop once the space is
-  // exhausted instead of padding the batch with duplicates.
-  conf::ConfigSpace space;
-  space.add(conf::ParamSpec::boolean("a"));
-  space.add(conf::ParamSpec::boolean("b"));
-  const std::vector<conf::Config> all = space.enumerate();
-  ASSERT_EQ(all.size(), 4u);
-  std::vector<Trial> history;
-  for (std::size_t i = 0; i + 1 < all.size(); ++i) {
-    Trial t;
-    t.config = all[i];
-    t.outcome.feasible = false;  // crashed: no surrogate signal
-    history.push_back(std::move(t));
-  }
-  util::Rng rng(17);
-  const std::vector<conf::Config> batch = propose_batch(
-      space, {}, AcquisitionKind::kLogEi, history, /*batch_size=*/4, rng);
-  ASSERT_EQ(batch.size(), 1u);  // only one config was never evaluated
-  EXPECT_TRUE(batch[0] == all.back());
-  for (const Trial& t : history) {
-    EXPECT_FALSE(batch[0] == t.config);
-  }
-}
-
-TEST(ProposeBatch, BatchMirrorsKrigingBelieverByHand) {
-  // Replay propose_batch's kriging-believer loop by hand: fit on the real
-  // history, propose, append a make_fantasy_trial belief at the posterior
-  // mean, repeat. propose_batch must produce the identical batch — any
-  // divergence means its internal fantasy construction drifted from the
-  // documented heuristic (e.g. the removed constant liar at the incumbent).
-  SyntheticObjective objective;
-  const auto history = quadratic_history(objective, 25, 19);
-
-  const std::uint64_t seed = 23;
-  util::Rng batch_rng(seed);
-  const std::vector<conf::Config> batch =
-      propose_batch(objective.space(), {}, AcquisitionKind::kEiPerCost,
-                    history, /*batch_size=*/3, batch_rng);
-  ASSERT_EQ(batch.size(), 3u);
-
-  util::Rng mirror_rng(seed);
-  SurrogateOptions mirror_options;
-  mirror_options.hyperopt_every = 1 << 20;
-  SurrogateModel model(objective.space(), mirror_options,
-                       mirror_rng.split().next_u64());
-  std::vector<Trial> augmented = history;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    model.update(augmented);
-    const auto expected = propose_candidate(
-        model, AcquisitionKind::kEiPerCost, augmented, mirror_rng);
-    ASSERT_TRUE(expected.has_value());
-    EXPECT_TRUE(batch[i] == *expected) << "batch member " << i;
-    augmented.push_back(make_fantasy_trial(model, *expected));
-  }
-}
-
 TEST(MakeFantasyTrial, BelievesThePosteriorMeanAndNeverCountsAsSuccess) {
   SyntheticObjective objective;
   SurrogateModel model(objective.space(), {}, 1);

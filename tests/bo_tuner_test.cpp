@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/bo_tuner.h"
 #include "core/sensitivity.h"
@@ -41,6 +42,35 @@ class BrokenSpaceObjective final : public ObjectiveFunction {
   conf::ConfigSpace space_;
   int runs_ = 0;
 };
+
+// Two booleans, so four configurations, and every run crashes: the
+// surrogate never fits, so every model-phase ask takes the uniform fallback.
+class AlwaysCrashObjective final : public ObjectiveFunction {
+ public:
+  AlwaysCrashObjective() {
+    space_.add(conf::ParamSpec::boolean("a"));
+    space_.add(conf::ParamSpec::boolean("b"));
+  }
+  const conf::ConfigSpace& space() const override { return space_; }
+  double target_metric() const override { return 0.9; }
+  RunOutcome run(const conf::Config&, RunController*) override {
+    RunOutcome out;
+    out.feasible = false;
+    out.failure = "crash";
+    out.spent_seconds = 1.0;
+    return out;
+  }
+
+ private:
+  conf::ConfigSpace space_;
+};
+
+std::size_t distinct_configs(const conf::ConfigSpace& space,
+                             const std::vector<conf::Config>& configs) {
+  std::set<math::Vec> encoded;
+  for (const conf::Config& c : configs) encoded.insert(space.encode(c));
+  return encoded.size();
+}
 
 TEST(BoTuner, RefusesSpaceWithLintErrorsBeforeSpendingBudget) {
   BrokenSpaceObjective objective;
@@ -216,6 +246,80 @@ TEST(BoTuner, SensitivityRanksIrrelevantKnobLast) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_EQ(importance.back().param, "dud");
   EXPECT_LT(importance.back().importance, 0.25);
+}
+
+TEST(BoTuner, NeverResubmitsBeforeTheSpaceIsExhausted) {
+  // The uniform fallback draws against the history and the outstanding
+  // asks: four trials over a four-config space are all distinct.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    AlwaysCrashObjective objective;
+    BoOptions options;
+    options.seed = seed;
+    options.initial_design_size = 1;
+    options.max_evaluations = 4;
+    BoTuner tuner(objective, options);
+    std::vector<conf::Config> configs;
+    for (const Trial& t : tuner.tune().trials) configs.push_back(t.config);
+    ASSERT_EQ(configs.size(), 4u);
+    EXPECT_EQ(distinct_configs(objective.space(), configs), 4u)
+        << "seed " << seed;
+  }
+}
+
+TEST(BoTunerSession, UniformFallbackSkipsEvaluatedConfigs) {
+  // Three of the four configurations are already evaluated, so the one
+  // fallback draw that is not a duplicate is the fourth. Once the space is
+  // exhausted, an ask still gets a proposal (the last draw) rather than
+  // stalling the session.
+  AlwaysCrashObjective objective;
+  const std::vector<conf::Config> all = objective.space().enumerate();
+  ASSERT_EQ(all.size(), 4u);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    BoOptions options;
+    options.seed = seed;
+    options.initial_design_size = 0;
+    options.max_evaluations = 2;
+    for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+      Trial t;
+      t.config = all[i];
+      t.outcome = objective.run(all[i], nullptr);
+      options.warm_start.push_back(std::move(t));
+    }
+    BoTuner tuner(objective, options);
+    const auto first = tuner.ask_next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_TRUE(first->config == all.back()) << "seed " << seed;
+    EXPECT_TRUE(tuner.ask_next().has_value());
+  }
+}
+
+TEST(BoTunerSession, OutstandingAsksAreDistinctFromEachOtherAndHistory) {
+  // k asks held outstanding are conditioned on each other's fantasies:
+  // pairwise distinct, and distinct from every evaluated configuration.
+  constexpr int kOutstanding = 4;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SyntheticObjective objective;
+    BoTuner tuner(objective, fast_options(seed, 10 + kOutstanding));
+    for (int i = 0; i < 10; ++i) {
+      const auto ask = tuner.ask_next();
+      ASSERT_TRUE(ask.has_value());
+      tuner.tell_next(ask->ticket, tuner.evaluate(*ask));
+    }
+    std::vector<conf::Config> configs;
+    for (int i = 0; i < kOutstanding; ++i) {
+      const auto ask = tuner.ask_next();
+      ASSERT_TRUE(ask.has_value());
+      objective.space().validate(ask->config);
+      configs.push_back(ask->config);
+    }
+    EXPECT_EQ(distinct_configs(objective.space(), configs),
+              static_cast<std::size_t>(kOutstanding));
+    for (const Trial& t : tuner.session_result().trials) {
+      configs.push_back(t.config);
+    }
+    EXPECT_EQ(distinct_configs(objective.space(), configs), configs.size())
+        << "seed " << seed;
+  }
 }
 
 TEST(Sensitivity, DimensionMismatchThrows) {

@@ -92,12 +92,12 @@ TEST(Determinism, ParallelBoReproduces) {
   const auto run = [&] {
     wl::Evaluator evaluator(workload, 55);
     wl::EvaluatorObjective objective(evaluator);
-    baselines::ParallelBoOptions options;
-    options.batch_size = 3;
-    options.rounds = 3;
+    core::BoOptions options;
+    options.initial_design_size = 3;
+    options.max_evaluations = 9;
     options.seed = 55;
     options.surrogate.gp.restarts = 1;
-    const auto result = baselines::parallel_bo(objective, options);
+    const auto result = baselines::parallel_bo(objective, options, 3);
     return std::make_pair(result.tuning.best_objective,
                           result.wall_clock_seconds);
   };

@@ -1,14 +1,12 @@
-// Tests for the tuner extensions: deadline-constrained objectives, batch
-// (constant-liar) proposals, synchronous parallel BO, variance-based
-// sensitivity, and tuning-session persistence.
+// Tests for the tuner extensions: deadline-constrained objectives,
+// synchronous parallel BO (round-barrier drives of one BoTuner session),
+// variance-based sensitivity, and tuning-session persistence.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <set>
 
 #include "baselines/parallel_bo.h"
-#include "core/acquisition_optimizer.h"
 #include "core/sensitivity.h"
 #include "core/session_io.h"
 #include "synthetic_objective.h"
@@ -102,8 +100,6 @@ TEST(Deadline, TunerMinimizesCostUnderSlo) {
   EXPECT_LE(truth.tta_seconds, options.deadline_seconds);
 }
 
-// ---- batch proposals ------------------------------------------------------------
-
 std::vector<core::Trial> seed_history(SyntheticObjective& objective, int n,
                                       std::uint64_t seed) {
   util::Rng rng(seed);
@@ -117,42 +113,44 @@ std::vector<core::Trial> seed_history(SyntheticObjective& objective, int n,
   return history;
 }
 
-TEST(BatchProposals, ReturnsDistinctConfigs) {
-  SyntheticObjective objective;
-  const auto history = seed_history(objective, 10, 3);
-  util::Rng rng(4);
-  core::SurrogateOptions options;
-  options.gp.restarts = 1;
-  const auto batch = core::propose_batch(
-      objective.space(), options, core::AcquisitionKind::kLogEi, history, 4,
-      rng);
-  EXPECT_EQ(batch.size(), 4u);
-  std::set<math::Vec> unique;
-  for (const auto& c : batch) {
-    objective.space().validate(c);
-    unique.insert(objective.space().encode(c));
-  }
-  EXPECT_EQ(unique.size(), 4u);  // the liar pushes proposals apart
+// ---- synchronous parallel BO -----------------------------------------------------
+
+core::BoOptions parallel_options(std::uint64_t seed, int batch_size,
+                                 int rounds) {
+  core::BoOptions options;
+  options.seed = seed;
+  options.initial_design_size = batch_size;
+  options.max_evaluations = batch_size * rounds;
+  options.surrogate.gp.restarts = 1;
+  return options;
 }
 
-TEST(BatchProposals, WorksWithEmptyHistory) {
-  SyntheticObjective objective;
-  util::Rng rng(5);
-  const auto batch =
-      core::propose_batch(objective.space(), {}, core::AcquisitionKind::kEi,
-                          {}, 3, rng);
-  EXPECT_EQ(batch.size(), 3u);
-  for (const auto& c : batch) objective.space().validate(c);
+TEST(ParallelBo, BatchOfOneIsTheSequentialTuner) {
+  core::BoOptions options;
+  options.seed = 8;
+  options.max_evaluations = 14;
+  options.surrogate.gp.restarts = 1;
+  SyntheticObjective seq_obj;
+  core::BoTuner tuner(seq_obj, options);
+  const core::TuningResult want = tuner.tune();
+
+  SyntheticObjective par_obj;
+  const baselines::ParallelBoResult got =
+      baselines::parallel_bo(par_obj, options, 1);
+  ASSERT_EQ(got.tuning.trials.size(), want.trials.size());
+  for (std::size_t i = 0; i < want.trials.size(); ++i) {
+    EXPECT_TRUE(got.tuning.trials[i].config == want.trials[i].config) << i;
+    EXPECT_EQ(got.tuning.trials[i].outcome.objective,
+              want.trials[i].outcome.objective)
+        << i;
+  }
+  EXPECT_EQ(got.wall_clock_seconds, got.tuning.total_spent_seconds);
 }
 
 TEST(ParallelBo, WallClockBeatsSequentialAtSameEvaluationCount) {
   SyntheticObjective par_obj;
-  baselines::ParallelBoOptions options;
-  options.batch_size = 4;
-  options.rounds = 5;
-  options.seed = 6;
-  options.surrogate.gp.restarts = 1;
-  const baselines::ParallelBoResult par = baselines::parallel_bo(par_obj, options);
+  const baselines::ParallelBoResult par =
+      baselines::parallel_bo(par_obj, parallel_options(6, 4, 5), 4);
   EXPECT_EQ(par.tuning.trials.size(), 20u);
   // Sequential wall clock is the sum of all evaluation times.
   EXPECT_LT(par.wall_clock_seconds,
@@ -164,13 +162,9 @@ TEST(ParallelBo, QualityComparableToSequential) {
   double parallel_total = 0.0, sequential_total = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SyntheticObjective par_obj;
-    baselines::ParallelBoOptions options;
-    options.batch_size = 4;
-    options.rounds = 6;
-    options.seed = seed;
-    options.surrogate.gp.restarts = 1;
-    parallel_total += baselines::parallel_bo(par_obj, options)
-                          .tuning.best_objective;
+    parallel_total +=
+        baselines::parallel_bo(par_obj, parallel_options(seed, 4, 6), 4)
+            .tuning.best_objective;
 
     SyntheticObjective seq_obj;
     core::BoOptions bo;
@@ -185,9 +179,7 @@ TEST(ParallelBo, QualityComparableToSequential) {
 
 TEST(ParallelBo, RejectsBadOptions) {
   SyntheticObjective objective;
-  baselines::ParallelBoOptions options;
-  options.batch_size = 0;
-  EXPECT_THROW(baselines::parallel_bo(objective, options),
+  EXPECT_THROW(baselines::parallel_bo(objective, {}, 0),
                std::invalid_argument);
 }
 
