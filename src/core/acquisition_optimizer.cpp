@@ -138,6 +138,17 @@ std::optional<conf::Config> propose_candidate(
   return best;
 }
 
+conf::Config sample_unseen(const conf::ConfigSpace& space,
+                           std::span<const Trial> history, util::Rng& rng) {
+  constexpr int kDraws = 64;
+  const std::set<math::Vec> seen = encode_history(space, history);
+  conf::Config draw = space.sample_uniform(rng);
+  for (int i = 1; i < kDraws && seen.count(space.encode(draw)) != 0; ++i) {
+    draw = space.sample_uniform(rng);
+  }
+  return draw;
+}
+
 Trial make_fantasy_trial(const SurrogateModel& model,
                          const conf::Config& config) {
   Trial fantasy;

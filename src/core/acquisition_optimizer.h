@@ -43,6 +43,14 @@ std::optional<conf::Config> propose_candidate(
     std::span<const Trial> history, util::Rng& rng,
     const AcqOptimizerOptions& options = {});
 
+/// Uniform draw that skips configurations in `history` (evaluated, or
+/// pending as fantasies): resubmitting one wastes a whole evaluation. A
+/// small discrete space can be exhausted, so rejection is bounded and the
+/// last draw is kept. The rng advances past the first draw only when that
+/// draw is a duplicate.
+conf::Config sample_unseen(const conf::ConfigSpace& space,
+                           std::span<const Trial> history, util::Rng& rng);
+
 /// Kriging-believer fantasy for a pending evaluation at `config`: a tagged
 /// placeholder trial whose objective is the model's posterior mean there
 /// (the "believer" step of Ginsbourger's kriging believer), or +infinity —

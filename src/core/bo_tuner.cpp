@@ -4,8 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <map>
-#include <set>
-#include <span>
 
 #include "analysis/space_lint.h"
 #include "config/sampler.h"
@@ -153,22 +151,6 @@ void publish_pool_stats(const std::string& pool,
                  static_cast<double>(stats.completed));
   ADML_GAUGE_MAX("threadpool." + pool + ".peak_queue_depth",
                  static_cast<double>(stats.peak_queue_depth));
-}
-
-/// Uniform draw that skips configurations in `seen` (evaluated, or
-/// outstanding as fantasies): resubmitting one wastes a whole evaluation.
-/// A small discrete space can be exhausted, so rejection is bounded and
-/// the last draw is kept. Extra draws happen only after a duplicate.
-conf::Config sample_unseen(const conf::ConfigSpace& space,
-                           std::span<const Trial> seen, util::Rng& rng) {
-  constexpr int kDraws = 64;
-  std::set<math::Vec> encoded;
-  for (const Trial& t : seen) encoded.insert(space.encode(t.config));
-  conf::Config draw = space.sample_uniform(rng);
-  for (int i = 1; i < kDraws && encoded.count(space.encode(draw)) != 0; ++i) {
-    draw = space.sample_uniform(rng);
-  }
-  return draw;
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // reduces with a deterministic lowest-index argmax, so results are
 // bit-identical at any thread count), and by core::AsyncEvalExecutor to
 // keep async_q evaluations in flight with ticket-ordered starts and FIFO
-// ingestion. baselines::parallel_bo still *simulates* q-way evaluation
-// parallelism with kriging-believer batches and wall-clock accounting —
-// its evaluations never run on threads.
+// ingestion. baselines::parallel_bo only *simulates* q-way evaluation
+// parallelism, with round barriers over a BoTuner session and wall-clock
+// accounting — its evaluations never run on threads.
 //
 // Shutdown contract: the destructor marks the pool stopped, wakes every
 // worker, and joins. Workers keep pulling until the queue is drained, so
