@@ -4,6 +4,7 @@
 #include <cmath>
 #include <future>
 #include <set>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,6 +81,12 @@ std::optional<conf::Config> propose_candidate(
     std::span<const Trial> history, util::Rng& rng,
     const AcqOptimizerOptions& options) {
   ADML_SPAN("acq.propose");
+  if (reads_cost(kind) && !surrogate.fits_cost_model()) {
+    // Scoring would read log_cost = 0 and silently fall back to log-EI.
+    throw std::logic_error("propose_candidate: " + to_string(kind) +
+                           " reads the cost model, which this surrogate "
+                           "was built without");
+  }
   const conf::ConfigSpace& space = surrogate.space();
   const std::set<math::Vec> seen = encode_history(space, history);
 

@@ -37,7 +37,8 @@ struct AcqOptimizerOptions {
 
 /// Best candidate by acquisition score, or nullopt when every candidate is
 /// a duplicate of an already-evaluated configuration (caller should fall
-/// back to a random sample).
+/// back to a random sample). Throws std::logic_error when `kind` reads the
+/// cost model and `surrogate` was built without one.
 std::optional<conf::Config> propose_candidate(
     const SurrogateModel& surrogate, AcquisitionKind kind,
     std::span<const Trial> history, util::Rng& rng,

@@ -21,11 +21,13 @@ BoTuner::BoTuner(ObjectiveFunction& objective, BoOptions options)
       options_(std::move(options)),
       rng_(options_.seed),
       surrogate_(objective.space(), options_.surrogate,
-                 util::Rng(options_.seed).split().next_u64()),
+                 util::Rng(options_.seed).split().next_u64(),
+                 reads_cost(options_.acquisition)),
       fantasy_model_(objective.space(), options_.surrogate,
                      util::Rng(options_.seed ^ 0x517cc1b727220a95ULL)
                          .split()
-                         .next_u64()) {
+                         .next_u64(),
+                     reads_cost(options_.acquisition)) {
   if (options_.async_q < 1) {
     throw std::invalid_argument("BoTuner: async_q must be >= 1 (got " +
                                 std::to_string(options_.async_q) + ")");

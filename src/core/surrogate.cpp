@@ -33,8 +33,13 @@ std::unique_ptr<gp::RffRegressor> make_rff(std::size_t dim,
 }  // namespace
 
 SurrogateModel::SurrogateModel(const conf::ConfigSpace& space,
-                               SurrogateOptions options, std::uint64_t seed)
-    : space_(&space), options_(options), rng_(seed), seed_(seed) {}
+                               SurrogateOptions options, std::uint64_t seed,
+                               bool fit_cost_model)
+    : space_(&space),
+      options_(options),
+      rng_(seed),
+      seed_(seed),
+      fit_cost_model_(fit_cost_model) {}
 
 void SurrogateModel::update(std::span<const Trial> trials) {
   ADML_SPAN("surrogate.update");
@@ -112,7 +117,7 @@ void SurrogateModel::update(std::span<const Trial> trials) {
     fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, full_hyperopt,
                   /*role_salt=*/0);
     fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, full_hyperopt,
-                  /*role_salt=*/1);
+                  /*role_salt=*/1, fit_cost_model_);
     // Feasibility model only earns its keep once failures exist; a constant
     // label vector would just burn a GP fit.
     if (failures > 0 && feas_y.size() >= 3) {
@@ -137,7 +142,8 @@ void SurrogateModel::update(std::span<const Trial> trials) {
         ADML_COUNT("surrogate.refit_evidence", 1);
         full_hyperopt = true;
         fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, true, 0);
-        fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, true, 1);
+        fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, true, 1,
+                      fit_cost_model_);
         if (feasibility_gp_) {
           fit_or_append(feasibility_gp_, feasibility_cache_, all_x, feas_y,
                         true, 2);
@@ -236,7 +242,7 @@ const char* SurrogateModel::objective_backend() const {
 void SurrogateModel::fit_or_append(
     std::unique_ptr<gp::Regressor>& model, TrainCache& cache,
     const std::vector<math::Vec>& xs, const std::vector<double>& ys,
-    bool full_hyperopt, std::uint64_t role_salt) {
+    bool full_hyperopt, std::uint64_t role_salt, bool fit) {
   if (xs.size() < 2) {
     model.reset();
     cache = {};
@@ -270,12 +276,7 @@ void SurrogateModel::fit_or_append(
     model->append_observation(xs.back(), ys.back());
   } else {
     const std::size_t dim = space_->encoded_dimension();
-    math::Matrix x(xs.size(), dim);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      std::copy(xs[i].begin(), xs[i].end(), x.row(i).begin());
-    }
-    const bool fresh = model == nullptr;
-    if (fresh) {
+    if (model == nullptr) {
       if (want_rff) {
         // Spectral feature draws come from the surrogate seed and the
         // model's role, not from rng_: creating an RFF model must not
@@ -287,7 +288,18 @@ void SurrogateModel::fit_or_append(
         model = make_gp(dim, options_.gp);
       }
     }
-    if (full_hyperopt || switched) {
+    const bool hyperopt = full_hyperopt || switched;
+    if (!fit) {
+      // Never fitted, so never appended to: every update lands here, and
+      // only a would-be fit() draws from rng_ (an append never does).
+      if (hyperopt) model->skip_fit(xs.size(), rng_);
+      return;
+    }
+    math::Matrix x(xs.size(), dim);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      std::copy(xs[i].begin(), xs[i].end(), x.row(i).begin());
+    }
+    if (hyperopt) {
       model->fit(x, ys, rng_);
     } else {
       model->refit(x, ys);

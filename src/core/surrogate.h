@@ -9,7 +9,12 @@
 //     tuner can learn to avoid paying for them; transient failures —
 //     preemptions, infra crashes — are environment noise and excluded);
 //   - cost GP on log(evaluation cost) of completed trials, feeding the
-//     EI-per-cost acquisition (CherryPick-style cost awareness).
+//     EI-per-cost acquisition (CherryPick-style cost awareness). Only that
+//     acquisition reads it, so a surrogate built with `fit_cost_model =
+//     false` (BoTuner does so under every other acquisition) never fits it.
+//     The skipped model still takes, from the shared rng, exactly the draws
+//     its fits would have taken (Regressor::skip_fit), so the objective and
+//     feasibility posteriors are bit-identical either way.
 // Aborted runs contribute to feasibility (they did not crash) but not to
 // the objective model (their final value is censored).
 #pragma once
@@ -71,8 +76,11 @@ struct SurrogateScore {
 
 class SurrogateModel {
  public:
+  /// `fit_cost_model = false` skips every cost-GP fit: score().log_cost
+  /// stays 0. One consequence is intended: a cost fit that would have
+  /// thrown can no longer raise the noise floor for the other two models.
   SurrogateModel(const conf::ConfigSpace& space, SurrogateOptions options,
-                 std::uint64_t seed);
+                 std::uint64_t seed, bool fit_cost_model = true);
 
   /// Rebuild from the full trial history (idempotent).
   void update(std::span<const Trial> trials);
@@ -98,6 +106,9 @@ class SurrogateModel {
 
   const conf::ConfigSpace& space() const { return *space_; }
 
+  /// Whether score().log_cost comes from a fitted cost model.
+  bool fits_cost_model() const { return fit_cost_model_; }
+
   /// Backend currently serving the objective model ("exact"/"rff"), or
   /// nullptr before the first fit. Diagnostics/testing surface.
   const char* objective_backend() const;
@@ -110,10 +121,13 @@ class SurrogateModel {
     std::vector<double> ys;
   };
 
+  /// `fit = false` runs the same decisions but fits nothing: the model
+  /// object only carries its backend, and a would-be fit() becomes
+  /// skip_fit() on rng_.
   void fit_or_append(std::unique_ptr<gp::Regressor>& model, TrainCache& cache,
                      const std::vector<math::Vec>& xs,
                      const std::vector<double>& ys, bool full_hyperopt,
-                     std::uint64_t role_salt);
+                     std::uint64_t role_salt, bool fit = true);
 
   /// Discard every fitted model and its training cache (partial state left
   /// behind by a failed fit is not trustworthy).
@@ -123,6 +137,7 @@ class SurrogateModel {
   SurrogateOptions options_;
   util::Rng rng_;
   std::uint64_t seed_;
+  bool fit_cost_model_;
   int updates_since_hyperopt_ = 0;
   /// Objective model's per-point negative LML recorded at the last
   /// hyperopt; reference for the evidence-based refit trigger.

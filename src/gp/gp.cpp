@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -265,18 +266,37 @@ bool GaussianProcess::append_observation(std::span<const double> x, double y) {
   return true;
 }
 
+std::optional<GaussianProcess::HyperoptPlan> GaussianProcess::plan_hyperopt(
+    std::size_t n, util::Rng& rng) const {
+  if (!options_.optimize_hyperparams || n < 3) return std::nullopt;
+  HyperoptPlan plan;
+  std::tie(plan.lo, plan.hi) = kernel_->hyper_bounds();
+  plan.lo.push_back(std::log(options_.noise_lo));
+  plan.hi.push_back(std::log(options_.noise_hi));
+  for (int restart = 1; restart <= options_.restarts; ++restart) {
+    math::Vec start(plan.lo.size());
+    for (std::size_t i = 0; i < start.size(); ++i) {
+      start[i] = rng.uniform(plan.lo[i], plan.hi[i]);
+    }
+    plan.starts.push_back(std::move(start));
+  }
+  return plan;
+}
+
+void GaussianProcess::skip_fit(std::size_t n, util::Rng& rng) const {
+  plan_hyperopt(n, rng);
+}
+
 void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
                           util::Rng& rng) {
   ADML_SPAN("gp.fit", "n", static_cast<std::int64_t>(x.rows()));
   refit(x, y);
-  if (!options_.optimize_hyperparams || y.size() < 3) return;
+  const std::optional<HyperoptPlan> plan = plan_hyperopt(y.size(), rng);
+  if (!plan) return;
   ADML_SPAN("gp.hyperopt", "n", static_cast<std::int64_t>(x.rows()));
   ADML_COUNT("gp.hyperopt_rounds", 1);
-
-  auto [kernel_lo, kernel_hi] = kernel_->hyper_bounds();
-  math::Vec lo = kernel_lo, hi = kernel_hi;
-  lo.push_back(std::log(options_.noise_lo));
-  hi.push_back(std::log(options_.noise_hi));
+  const math::Vec& lo = plan->lo;
+  const math::Vec& hi = plan->hi;
 
   // Adam projects its iterates onto [lo, hi] (AdamOptions bounds below), so
   // the gradient is always evaluated at the point the step actually reached.
@@ -303,15 +323,10 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
   double best_value = objective(best_theta);
 
   for (int restart = 0; restart <= options_.restarts; ++restart) {
-    math::Vec start;
-    if (restart == 0) {
-      start = best_theta;  // warm start from current hyperparameters
-    } else {
-      start.resize(lo.size());
-      for (std::size_t i = 0; i < lo.size(); ++i) {
-        start[i] = rng.uniform(lo[i], hi[i]);
-      }
-    }
+    // Restart 0 warm-starts from the current hyperparameters.
+    const math::Vec& start =
+        restart == 0 ? best_theta
+                     : plan->starts[static_cast<std::size_t>(restart - 1)];
     const auto result = math::adam(objective_grad, start, adam_opts);
     math::Vec candidate = result.x;
     clamp_to_bounds(candidate, lo, hi);

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "gp/kernel.h"
 #include "gp/regressor.h"
@@ -47,6 +48,8 @@ class GaussianProcess final : public Regressor {
   /// Replace the data but keep current hyperparameters (cheap refit used
   /// between full re-optimizations).
   void refit(const math::Matrix& x, std::span<const double> y) override;
+
+  void skip_fit(std::size_t n, util::Rng& rng) const override;
 
   /// Incremental update: append one observation, extending the existing
   /// Cholesky factor in O(n^2) instead of refactorizing (O(n^3)).
@@ -86,6 +89,18 @@ class GaussianProcess final : public Regressor {
   LmlResult negative_lml(std::span<const double> packed) const;
 
  private:
+  /// Bounds and random restart starts of one hyperopt round, packed
+  /// [kernel log-hypers..., log noise].
+  struct HyperoptPlan {
+    math::Vec lo, hi;
+    std::vector<math::Vec> starts;  // restarts 1..options_.restarts
+  };
+  /// The plan fit() on n points runs, with every restart start drawn from
+  /// rng up front in restart order; nullopt, with no draw taken, when that
+  /// fit runs no hyperopt. The only rng use in fit(), shared by skip_fit().
+  std::optional<HyperoptPlan> plan_hyperopt(std::size_t n,
+                                            util::Rng& rng) const;
+
   void factorize();
   math::Vec packed_hypers() const;
   void apply_packed(std::span<const double> packed);

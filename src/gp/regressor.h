@@ -35,6 +35,11 @@ class Regressor {
   /// between full re-optimizations).
   virtual void refit(const math::Matrix& x, std::span<const double> y) = 0;
 
+  /// Take from rng exactly the draws fit() on n points would take, and
+  /// nothing else: the model is left as it is. A caller that skips a fit
+  /// nobody reads calls this so later fits sharing rng see the same stream.
+  virtual void skip_fit(std::size_t n, util::Rng& rng) const = 0;
+
   /// Incremental update: append one observation without refitting from
   /// scratch. Hyperparameters are kept; the resulting posterior is
   /// identical to refit() on the extended data. Requires is_fitted().

@@ -235,19 +235,31 @@ bool RffRegressor::append_observation(std::span<const double> x, double y) {
   return true;
 }
 
+std::size_t RffRegressor::hyperopt_subset_size(std::size_t n) const {
+  if (!options_.gp.optimize_hyperparams || options_.hyperopt_subset <= 0 ||
+      n < 3) {
+    return 0;
+  }
+  return std::min<std::size_t>(
+      n, static_cast<std::size_t>(options_.hyperopt_subset));
+}
+
+void RffRegressor::skip_fit(std::size_t n, util::Rng& rng) const {
+  if (const std::size_t s = hyperopt_subset_size(n); s > 0) {
+    GaussianProcess(kernel_->clone(), options_.gp).skip_fit(s, rng);
+  }
+}
+
 void RffRegressor::fit(const math::Matrix& x, std::span<const double> y,
                        util::Rng& rng) {
   ADML_SPAN("gp.rff_fit", "n", static_cast<std::int64_t>(x.rows()), "m",
             static_cast<std::int64_t>(m_));
   const std::size_t n = x.rows();
-  if (options_.gp.optimize_hyperparams && options_.hyperopt_subset > 0 &&
-      n >= 3) {
+  if (const std::size_t s = hyperopt_subset_size(n); s > 0) {
     ADML_COUNT("gp.rff_hyperopt_rounds", 1);
     // Exact-GP marginal likelihood on an evenly-strided subset: reuses the
     // well-tested hyperopt machinery at O(s³) instead of deriving an RFF
     // objective. The stride keeps early and late trials represented.
-    const std::size_t s =
-        std::min<std::size_t>(n, static_cast<std::size_t>(options_.hyperopt_subset));
     math::Matrix xs(s, x.cols());
     math::Vec ys(s);
     for (std::size_t i = 0; i < s; ++i) {

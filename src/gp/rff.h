@@ -66,6 +66,7 @@ class RffRegressor final : public Regressor {
   void fit(const math::Matrix& x, std::span<const double> y,
            util::Rng& rng) override;
   void refit(const math::Matrix& x, std::span<const double> y) override;
+  void skip_fit(std::size_t n, util::Rng& rng) const override;
 
   /// O(n m + m³) append: extend Φ by one row, rank-1-update A = Φ^T Φ + σ²I
   /// in the same summation order refit() uses (so the result is bit-equal
@@ -93,6 +94,9 @@ class RffRegressor final : public Regressor {
   math::Vec features(std::span<const double> x) const;
 
  private:
+  /// Size of the strided subset fit() on n points runs its hyperopt on, or
+  /// 0 when that fit runs none.
+  std::size_t hyperopt_subset_size(std::size_t n) const;
   void rebuild_omega();
   math::Vec phi_row(std::span<const double> x) const;
   void solve_feature_system();

@@ -259,5 +259,19 @@ TEST(MakeFantasyTrial, FantasiesLeaveFeasibilityAndCostModelsUntouched) {
   }
 }
 
+TEST(AcqOptimizer, EiPerCostWithoutCostModelIsATypedError) {
+  SyntheticObjective objective;
+  const auto history = quadratic_history(objective, 12, 13);
+  SurrogateModel model(objective.space(), {}, 1, /*fit_cost_model=*/false);
+  model.update(history);
+  util::Rng rng(14);
+  EXPECT_THROW(
+      propose_candidate(model, AcquisitionKind::kEiPerCost, history, rng),
+      std::logic_error);
+  EXPECT_TRUE(
+      propose_candidate(model, AcquisitionKind::kLogEi, history, rng)
+          .has_value());
+}
+
 }  // namespace
 }  // namespace autodml::core

@@ -266,6 +266,25 @@ TEST(BoTuner, NeverResubmitsBeforeTheSpaceIsExhausted) {
   }
 }
 
+TEST(BoTuner, FitsTheCostModelOnlyForEiPerCost) {
+  for (const AcquisitionKind kind :
+       {AcquisitionKind::kEiPerCost, AcquisitionKind::kLogEi}) {
+    SyntheticObjective objective;
+    BoOptions options = fast_options(3, 10);
+    options.acquisition = kind;
+    BoTuner tuner(objective, options);
+    tuner.tune();
+    ASSERT_TRUE(tuner.surrogate().ready());
+    EXPECT_EQ(tuner.surrogate().fits_cost_model(), reads_cost(kind));
+    const conf::Config probe = objective.space().default_config();
+    if (reads_cost(kind)) {
+      EXPECT_NE(tuner.surrogate().score(probe).log_cost, 0.0);
+    } else {
+      EXPECT_EQ(tuner.surrogate().score(probe).log_cost, 0.0);
+    }
+  }
+}
+
 TEST(BoTunerSession, UniformFallbackSkipsEvaluatedConfigs) {
   // Three of the four configurations are already evaluated, so the one
   // fallback draw that is not a duplicate is the fourth. Once the space is

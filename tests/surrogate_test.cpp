@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/surrogate.h"
 #include "synthetic_objective.h"
+#include "util/chaos.h"
 
 namespace autodml::core {
 namespace {
@@ -176,6 +178,170 @@ TEST(Surrogate, UpdateIsIdempotent) {
   model.update(trials);
   const double mean2 = model.score(trials[0].config).mean;
   EXPECT_NEAR(mean1, mean2, 1e-9);
+}
+
+// ---- Cost model skipped: objective and feasibility bit-identical -----------
+
+/// The i-th trial of a stream mixing every outcome update() routes
+/// differently: successes, deterministic crashes, aborts with and without a
+/// projection, transient failures and zero-cost records.
+Trial mixed_trial(const SyntheticObjective& objective, util::Rng& rng, int i) {
+  const conf::Config c = objective.space().sample_uniform(rng);
+  Trial t = make_trial(c, objective.true_value(c), true);
+  switch (i % 7) {
+    case 2:  // deterministic crash: feasibility label 1, cost sample
+      t = make_trial(c, 0.0, false);
+      t.outcome.failure_kind = FailureKind::kOom;
+      break;
+    case 3:  // killed with a projection: censored objective point, no cost
+      t = make_trial(c, 0.0, true, /*aborted=*/true);
+      t.outcome.spent_seconds = 4.0;
+      t.outcome.projected_objective = 1.5 * objective.true_value(c);
+      break;
+    case 4:  // transient: left out of feasibility, still a cost sample
+      t = make_trial(c, 0.0, false);
+      t.outcome.failure_kind = FailureKind::kPreempted;
+      t.outcome.spent_seconds = 3.0;
+      break;
+    case 5:  // succeeded at zero cost: objective point, no cost sample
+      t.outcome.spent_seconds = 0.0;
+      break;
+    case 6:  // killed without a projection: feasibility only
+      t = make_trial(c, 0.0, true, /*aborted=*/true);
+      t.outcome.spent_seconds = 2.0;
+      break;
+    default:
+      break;
+  }
+  return t;
+}
+
+/// Fits a surrogate with and one without the cost model on the same growing
+/// history and requires every objective and feasibility prediction to be
+/// `==` after each update. The two share nothing but their seed, so any
+/// draw the skipped cost model fails to burn shifts every later restart.
+/// `fault_update` (0-based, -1 for none) arms the "surrogate.refit" chaos
+/// fault for both models' update of that index.
+void expect_cost_skip_identical(const SurrogateOptions& options,
+                                const std::string& label,
+                                int fault_update = -1) {
+  SyntheticObjective objective;
+  SurrogateModel with_cost(objective.space(), options, 17);
+  SurrogateModel without_cost(objective.space(), options, 17,
+                              /*fit_cost_model=*/false);
+  ASSERT_TRUE(with_cost.fits_cost_model());
+  ASSERT_FALSE(without_cost.fits_cost_model());
+  util::Rng trial_rng(5);
+  util::Rng probe_rng(6);
+  std::vector<conf::Config> probes;
+  for (int i = 0; i < 6; ++i) {
+    probes.push_back(objective.space().sample_uniform(probe_rng));
+  }
+  std::vector<Trial> trials;
+  int next = 0;
+  for (int update = 0; update < 22; ++update) {
+    // Mostly single appends (the incremental path); every fifth update
+    // adds two trials, which forces a refit with frozen hyperparameters.
+    const int add = update == 0 ? 3 : (update % 5 == 4 ? 2 : 1);
+    for (int k = 0; k < add; ++k) {
+      trials.push_back(mixed_trial(objective, trial_rng, next++));
+    }
+    const std::string where =
+        label + ", update " + std::to_string(update) + " (" +
+        std::to_string(trials.size()) + " trials)";
+    if (update == fault_update) {
+      util::chaos::arm_fault_point("surrogate.refit", 1, 2);
+    }
+    with_cost.update(trials);
+    without_cost.update(trials);
+    if (update == fault_update) {
+      util::chaos::disarm_all();
+      ASSERT_TRUE(with_cost.degraded()) << where;
+    }
+    ASSERT_EQ(with_cost.ready(), without_cost.ready()) << where;
+    ASSERT_EQ(with_cost.degraded(), without_cost.degraded()) << where;
+    if (!with_cost.ready()) continue;
+    ASSERT_EQ(with_cost.incumbent_log(), without_cost.incumbent_log())
+        << where;
+    for (const conf::Config& probe : probes) {
+      const SurrogateScore a = with_cost.score(probe);
+      const SurrogateScore b = without_cost.score(probe);
+      ASSERT_EQ(a.mean, b.mean) << where << " at " << probe.to_string();
+      ASSERT_EQ(a.variance, b.variance) << where << " at " << probe.to_string();
+      ASSERT_EQ(a.prob_feasible, b.prob_feasible)
+          << where << " at " << probe.to_string();
+      EXPECT_EQ(b.log_cost, 0.0) << where;
+    }
+  }
+}
+
+SurrogateOptions skip_options(SurrogateBackend backend, int hyperopt_every) {
+  SurrogateOptions options;
+  options.backend = backend;
+  options.hyperopt_every = hyperopt_every;
+  options.rff_features = 64;
+  options.gp.adam_iterations = 40;
+  options.gp.polish_iterations = 20;
+  return options;
+}
+
+TEST(CostModelSkip, PosteriorsIdenticalOnEveryScheduleAndBackend) {
+  for (const SurrogateBackend backend :
+       {SurrogateBackend::kExact, SurrogateBackend::kRff}) {
+    for (const int every : {1, 3}) {
+      expect_cost_skip_identical(
+          skip_options(backend, every),
+          std::string(backend == SurrogateBackend::kRff ? "rff" : "exact") +
+              ", hyperopt_every " + std::to_string(every));
+    }
+  }
+}
+
+TEST(CostModelSkip, PosteriorsIdenticalWhenAutoSwitchesBetweenRounds) {
+  // Evidence trigger off, so hyperopt runs exactly on updates 0, 3, 6, ...
+  // The cost set (no aborts, no zero-cost records) reaches the threshold
+  // on a later update than the objective set; check that it does so on an
+  // update with no scheduled round, where only the backend switch makes
+  // the cost model fit (and so draw) at all.
+  SurrogateOptions options = skip_options(SurrogateBackend::kAuto, 3);
+  options.refit_nlml_degradation = 0.0;
+  options.rff_threshold = 12;
+  SyntheticObjective objective;
+  util::Rng trial_rng(5);
+  std::size_t cost_points = 0;
+  int next = 0;
+  int crossing = -1;
+  for (int update = 0; update < 22 && crossing < 0; ++update) {
+    const int add = update == 0 ? 3 : (update % 5 == 4 ? 2 : 1);
+    for (int k = 0; k < add; ++k) {
+      const Trial t = mixed_trial(objective, trial_rng, next++);
+      cost_points += !t.outcome.aborted && t.outcome.spent_seconds > 0.0;
+    }
+    if (cost_points >= options.rff_threshold) crossing = update;
+  }
+  ASSERT_GT(crossing, 0);
+  ASSERT_NE(crossing % 3, 0) << "cost model crosses on a hyperopt round";
+  expect_cost_skip_identical(options, "auto, threshold 12");
+}
+
+TEST(CostModelSkip, PosteriorsIdenticalAcrossAnInjectedRefitFault) {
+  // Every fit attempt of update 8 fails for both models: the escalation
+  // ladder runs out, both park in degraded mode with a raised noise floor,
+  // and update 9 refits from scratch.
+  expect_cost_skip_identical(skip_options(SurrogateBackend::kExact, 3),
+                             "exact, fault at update 8", /*fault_update=*/8);
+}
+
+TEST(CostModelSkip, CostModelFitsOnlyWhenAsked) {
+  SyntheticObjective objective;
+  const auto trials = sample_trials(objective, 20, 12);
+  SurrogateModel with_cost(objective.space(), {}, 1);
+  SurrogateModel without_cost(objective.space(), {}, 1,
+                              /*fit_cost_model=*/false);
+  with_cost.update(trials);
+  without_cost.update(trials);
+  EXPECT_NE(with_cost.score(trials[0].config).log_cost, 0.0);
+  EXPECT_EQ(without_cost.score(trials[0].config).log_cost, 0.0);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //   adml-chaos --cli=PATH [--workload=W] [--evals=N] [--seeds=1,2,3]
 //              [--target-cycles=200] [--max-kill-hit=60]
 //              [--workdir=DIR] [--chaos-seed=S] [--refit-every=K]
-//              [--async-q=Q]
+//              [--async-q=Q] [--acquisition=A]
 //
 // Exit 0 when --target-cycles kill/resume cycles all recovered and every
 // completed session matched its reference; nonzero (with the offending
@@ -52,16 +52,28 @@ struct SessionPaths {
   std::string session;
 };
 
-std::string tune_command(const std::string& cli, const std::string& workload,
-                         int evals, std::uint64_t seed, int refit_every,
-                         int async_q, const SessionPaths& paths) {
-  std::string command = cli + " tune --workload=" + workload +
-                        " --evals=" + std::to_string(evals) +
+struct TuneFlags {
+  std::string workload;
+  int evals = 10;
+  int refit_every = 1;
+  int async_q = 1;
+  std::string acquisition;  // empty: the CLI's default
+};
+
+std::string tune_command(const std::string& cli, const TuneFlags& flags,
+                         std::uint64_t seed, const SessionPaths& paths) {
+  std::string command = cli + " tune --workload=" + flags.workload +
+                        " --evals=" + std::to_string(flags.evals) +
                         " --seed=" + std::to_string(seed) +
-                        " --refit-every=" + std::to_string(refit_every);
-  // Async sessions must resume with the q they were written with, so the
-  // flag goes on every child invocation (reference, kill, and resume).
-  if (async_q > 1) command += " --async-q=" + std::to_string(async_q);
+                        " --refit-every=" + std::to_string(flags.refit_every);
+  // A session must resume with the options it was written with, so these
+  // flags go on every child invocation (reference, kill, and resume).
+  if (flags.async_q > 1) {
+    command += " --async-q=" + std::to_string(flags.async_q);
+  }
+  if (!flags.acquisition.empty()) {
+    command += " --acquisition=" + flags.acquisition;
+  }
   return command + " --journal=" + paths.journal +
          " --session=" + paths.session + " >/dev/null 2>&1";
 }
@@ -85,10 +97,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: adml-chaos --cli=PATH [--flags]\n");
     return 1;
   }
-  const std::string workload = args.get("workload", "logreg-ads");
-  const int evals = static_cast<int>(args.get_int("evals", 10));
-  const int refit_every = static_cast<int>(args.get_int("refit-every", 1));
-  const int async_q = static_cast<int>(args.get_int("async-q", 1));
+  TuneFlags flags;
+  flags.workload = args.get("workload", "logreg-ads");
+  flags.evals = static_cast<int>(args.get_int("evals", 10));
+  flags.refit_every = static_cast<int>(args.get_int("refit-every", 1));
+  flags.async_q = static_cast<int>(args.get_int("async-q", 1));
+  flags.acquisition = args.get("acquisition", "");
   const int target_cycles =
       static_cast<int>(args.get_int("target-cycles", 200));
   const int max_kill_hit =
@@ -123,8 +137,7 @@ int main(int argc, char** argv) {
                      workdir + "/ref_" + std::to_string(seed) + ".session"};
     fs::remove(ref.journal, ec);
     fs::remove(ref.session, ec);
-    const int code =
-        run(tune_command(cli, workload, evals, seed, refit_every, async_q, ref));
+    const int code = run(tune_command(cli, flags, seed, ref));
     if (code != 0 && code != 2) {
       std::fprintf(stderr,
                    "adml-chaos: reference run (seed %llu) exited %d\n",
@@ -164,8 +177,7 @@ int main(int argc, char** argv) {
     const auto kill_hit = rng.uniform_int(1, max_kill_hit + 1);
     const std::string command =
         "ADML_CRASH_AFTER=" + std::to_string(kill_hit) + " " +
-        tune_command(cli, workload, evals, seeds[i], refit_every, async_q,
-                     live[i]);
+        tune_command(cli, flags, seeds[i], live[i]);
     const int code = run(command);
     runs += 1;
     if (code == autodml::util::chaos::kCrashExitCode) {
@@ -214,9 +226,7 @@ int main(int argc, char** argv) {
   // counted kill has a proven recovery behind it.
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     if (!active[i]) continue;
-    const int code =
-        run(tune_command(cli, workload, evals, seeds[i], refit_every,
-                         async_q, live[i]));
+    const int code = run(tune_command(cli, flags, seeds[i], live[i]));
     runs += 1;
     std::string detail;
     if (code != ref_exits[i] ||
