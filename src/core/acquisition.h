@@ -16,13 +16,13 @@ namespace autodml::core {
 enum class AcquisitionKind { kEi, kLogEi, kUcb, kPi, kEiPerCost };
 
 AcquisitionKind acquisition_from_string(std::string_view s);
+std::string to_string(AcquisitionKind k);
 
 /// True for the kinds whose score reads SurrogateScore::log_cost; only
 /// those need the surrogate's cost model.
 constexpr bool reads_cost(AcquisitionKind k) {
   return k == AcquisitionKind::kEiPerCost;
 }
-std::string to_string(AcquisitionKind k);
 
 double normal_pdf(double z);
 double normal_cdf(double z);

@@ -9,12 +9,11 @@
 //     tuner can learn to avoid paying for them; transient failures —
 //     preemptions, infra crashes — are environment noise and excluded);
 //   - cost GP on log(evaluation cost) of completed trials, feeding the
-//     EI-per-cost acquisition (CherryPick-style cost awareness). Only that
-//     acquisition reads it, so a surrogate built with `fit_cost_model =
-//     false` (BoTuner does so under every other acquisition) never fits it.
-//     The skipped model still takes, from the shared rng, exactly the draws
-//     its fits would have taken (Regressor::skip_fit), so the objective and
-//     feasibility posteriors are bit-identical either way.
+//     EI-per-cost acquisition (CherryPick-style cost awareness), the only
+//     reader of its prediction. BoTuner builds the surrogate without it
+//     under every other acquisition; the skipped model still takes from
+//     the shared rng exactly the draws its fits would have taken, so the
+//     objective and feasibility posteriors are bit-identical either way.
 // Aborted runs contribute to feasibility (they did not crash) but not to
 // the objective model (their final value is censored).
 #pragma once
@@ -76,9 +75,9 @@ struct SurrogateScore {
 
 class SurrogateModel {
  public:
-  /// `fit_cost_model = false` skips every cost-GP fit: score().log_cost
-  /// stays 0. One consequence is intended: a cost fit that would have
-  /// thrown can no longer raise the noise floor for the other two models.
+  /// `fit_cost_model = false` skips every cost-GP fit and score().log_cost
+  /// stays 0. Intended: a cost fit that would have thrown can then no
+  /// longer raise the noise floor for the other two models.
   SurrogateModel(const conf::ConfigSpace& space, SurrogateOptions options,
                  std::uint64_t seed, bool fit_cost_model = true);
 
