@@ -216,6 +216,13 @@ Trial mixed_trial(const SyntheticObjective& objective, util::Rng& rng, int i) {
   return t;
 }
 
+/// Trials the property tests add before update `update`: mostly single
+/// appends (the incremental path); every fifth update adds two, which
+/// forces a refit with frozen hyperparameters.
+int trials_added(int update) {
+  return update == 0 ? 3 : (update % 5 == 4 ? 2 : 1);
+}
+
 /// Fits a surrogate with and one without the cost model on the same growing
 /// history and requires every objective and feasibility prediction to be
 /// `==` after each update. The two share nothing but their seed, so any
@@ -240,10 +247,7 @@ void expect_cost_skip_identical(const SurrogateOptions& options,
   std::vector<Trial> trials;
   int next = 0;
   for (int update = 0; update < 22; ++update) {
-    // Mostly single appends (the incremental path); every fifth update
-    // adds two trials, which forces a refit with frozen hyperparameters.
-    const int add = update == 0 ? 3 : (update % 5 == 4 ? 2 : 1);
-    for (int k = 0; k < add; ++k) {
+    for (int k = 0; k < trials_added(update); ++k) {
       trials.push_back(mixed_trial(objective, trial_rng, next++));
     }
     const std::string where =
@@ -312,8 +316,7 @@ TEST(CostModelSkip, PosteriorsIdenticalWhenAutoSwitchesBetweenRounds) {
   int next = 0;
   int crossing = -1;
   for (int update = 0; update < 22 && crossing < 0; ++update) {
-    const int add = update == 0 ? 3 : (update % 5 == 4 ? 2 : 1);
-    for (int k = 0; k < add; ++k) {
+    for (int k = 0; k < trials_added(update); ++k) {
       const Trial t = mixed_trial(objective, trial_rng, next++);
       cost_points += !t.outcome.aborted && t.outcome.spent_seconds > 0.0;
     }
