@@ -14,16 +14,26 @@
 //   (d) per-trial hyperopt against the every-k + evidence-triggered refit
 //       schedule, at n = 256;
 //   (e) serial against thread-pool acquisition scoring (n <= 1024),
-//       asserting the parallel proposal is identical to the serial one.
+//       asserting the parallel proposal is identical to the serial one;
+//   (f) GP hyperparameter fitting alone: one GP fitted on n = 3..30 points
+//       at d = 19, the sizes a tuning session's hyperopt rounds run at,
+//       for both kernels, in fits/s and likelihood evaluations/s (thread
+//       CPU time), with the fitted hyperparameters hashed and checked
+//       against the hash recorded for the reference implementation.
 // Results land in BENCH_inner_loop.json to extend the repo's performance
 // trajectory; CI runs `--smoke` and uploads the file as an artifact.
-// Non-zero exit when the parallel proposal diverges or the RFF accuracy
-// gate fails.
+// Non-zero exit when the parallel proposal diverges, the RFF accuracy
+// gate fails or a fitted-hyperparameter hash differs from its reference.
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
 //                         [--reps=N] [--threads=K] [--rff-features=M]
+//                         [--lml-only]
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -38,6 +48,7 @@
 #include "gp/kernel.h"
 #include "gp/rff.h"
 #include "math/cholesky.h"
+#include "obs/metrics.h"
 #include "util/arg_parse.h"
 #include "util/csv.h"
 #include "util/fs.h"
@@ -367,6 +378,155 @@ double measure_policy_ms(const conf::ConfigSpace& space,
   return watch.elapsed_ms();
 }
 
+// ---- (f) hyperparameter fitting alone ----
+
+constexpr std::size_t kLmlDim = 19;
+constexpr std::size_t kLmlMaxN = 30;
+
+/// FNV-1a over the bit patterns of every fitted hyperparameter (kernel
+/// log-hypers, then the noise variance) after each fit of the sequence,
+/// recorded with a per-pair likelihood evaluation (one kernel call per
+/// training pair, bitwise equal to the two-pass reference formula) on
+/// x86-64 with glibc libm and -ffp-contract=off. Any implementation of
+/// the likelihood must reproduce it bit for bit.
+constexpr std::uint64_t kLmlReferenceHashSe = 0x4e398a21f96e3249ull;
+constexpr std::uint64_t kLmlReferenceHashMatern = 0x5b527e7c9dd015b0ull;
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+void fnv_mix(std::uint64_t& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (bits >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+struct FitSequenceResult {
+  std::string kernel;
+  std::uint64_t hash = 0;
+  std::uint64_t reference_hash = 0;
+  std::int64_t lml_evals = 0;
+  double cpu_ms = 0.0;  // median over reps, whole sequence
+  double fits_per_s = 0.0;
+  double lml_evals_per_s = 0.0;
+};
+
+/// One GP refitted with hyperopt at every n = 3..kLmlMaxN on a smooth
+/// response with noise, one rng stream across the sequence (as a tuning
+/// session draws it). Returns the hash of the fitted hyperparameters.
+template <typename K>
+std::uint64_t run_lml_sequence(const math::Matrix& x, const math::Vec& y) {
+  gp::GaussianProcess model(std::make_unique<K>(kLmlDim));
+  util::Rng rng(7);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::size_t n = 3; n <= kLmlMaxN; ++n) {
+    math::Matrix xn(n, kLmlDim);
+    std::copy(x.data().begin(), x.data().begin() + n * kLmlDim,
+              xn.data().begin());
+    model.fit(xn, std::span(y).subspan(0, n), rng);
+    for (double v : model.kernel().hyperparams()) fnv_mix(hash, v);
+    fnv_mix(hash, model.noise_variance());
+  }
+  return hash;
+}
+
+template <typename K>
+FitSequenceResult measure_lml(const char* name, std::uint64_t reference,
+                              int reps) {
+  util::Rng data_rng(4242);
+  math::Matrix x(kLmlMaxN, kLmlDim);
+  math::Vec y(kLmlMaxN);
+  for (std::size_t i = 0; i < kLmlMaxN; ++i) {
+    double v = 0.0;
+    for (std::size_t d = 0; d < kLmlDim; ++d) {
+      x(i, d) = data_rng.uniform();
+      v += std::sin(3.0 * x(i, d) + static_cast<double>(d)) /
+           static_cast<double>(d + 1);
+    }
+    y[i] = v + 0.05 * data_rng.normal();
+  }
+  FitSequenceResult out;
+  out.kernel = name;
+  out.reference_hash = reference;
+  // Count the likelihood evaluations once, outside the timed runs: the
+  // sequence is deterministic, and an attached registry costs a lookup
+  // per evaluation.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  obs::Counter& evals = registry.counter("gp.lml_evals");
+  const std::int64_t before = evals.value();
+  registry.enable();
+  out.hash = run_lml_sequence<K>(x, y);
+  registry.disable();
+  out.lml_evals = evals.value() - before;
+  std::vector<double> cpu_ms;
+  for (int r = 0; r < reps; ++r) {
+    const double start = thread_cpu_seconds();
+    if (run_lml_sequence<K>(x, y) != out.hash) out.hash = 0;  // unstable
+    cpu_ms.push_back(1e3 * (thread_cpu_seconds() - start));
+  }
+  std::sort(cpu_ms.begin(), cpu_ms.end());
+  out.cpu_ms = cpu_ms[cpu_ms.size() / 2];
+  const double fits = static_cast<double>(kLmlMaxN - 2);
+  out.fits_per_s = 1e3 * fits / out.cpu_ms;
+  out.lml_evals_per_s = 1e3 * static_cast<double>(out.lml_evals) / out.cpu_ms;
+  return out;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Runs section (f) for both kernels; false when a hash differs from its
+/// reference.
+bool lml_section(int reps, util::JsonObject& doc) {
+  const std::vector<FitSequenceResult> results = {
+      measure_lml<gp::SquaredExponentialArd>("se_ard", kLmlReferenceHashSe,
+                                             reps),
+      measure_lml<gp::Matern52Ard>("matern52_ard", kLmlReferenceHashMatern,
+                                   reps)};
+  bool ok = true;
+  util::JsonArray rows;
+  std::cout << "\n=== hyperparameter fits, n = 3.." << kLmlMaxN
+            << " at d = " << kLmlDim << " (reps=" << reps
+            << ", median thread CPU) ===\n";
+  for (const FitSequenceResult& r : results) {
+    const bool match = r.hash == r.reference_hash;
+    ok = ok && match;
+    std::cout << r.kernel << ": " << util::fmt(r.cpu_ms, 4) << " ms, "
+              << util::fmt(r.fits_per_s, 4) << " fits/s, "
+              << util::fmt(r.lml_evals_per_s, 4) << " LML evals/s ("
+              << r.lml_evals << " evals), hash " << hex64(r.hash)
+              << (match ? " matches" : " DIFFERS from") << " reference "
+              << hex64(r.reference_hash) << "\n";
+    util::JsonObject row;
+    row["kernel"] = r.kernel;
+    row["cpu_ms"] = r.cpu_ms;
+    row["fits_per_s"] = r.fits_per_s;
+    row["lml_evals"] = static_cast<double>(r.lml_evals);
+    row["lml_evals_per_s"] = r.lml_evals_per_s;
+    row["hash"] = hex64(r.hash);
+    row["hash_matches_reference"] = match;
+    rows.push_back(util::JsonValue(std::move(row)));
+  }
+  util::JsonObject section;
+  section["dim"] = static_cast<double>(kLmlDim);
+  section["n_max"] = static_cast<double>(kLmlMaxN);
+  section["reps"] = reps;
+  section["kernels"] = util::JsonValue(std::move(rows));
+  doc["lml"] = util::JsonValue(std::move(section));
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -381,6 +541,17 @@ int main(int argc, char** argv) {
       "threads",
       std::max(2u, std::thread::hardware_concurrency())));
   const std::string out_path = args.get("out", "BENCH_inner_loop.json");
+  if (args.has("lml-only")) {
+    util::JsonObject doc;
+    doc["bench"] = "inner_loop";
+    const bool ok = lml_section(reps, doc);
+    util::write_file_atomic(
+        out_path, util::dump_json(util::JsonValue(std::move(doc)), 2) + "\n");
+    std::cout << "wrote " << out_path << "\n";
+    if (!ok)
+      std::cerr << "FAIL: fitted hyperparameters differ from the reference\n";
+    return ok ? 0 : 1;
+  }
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{16, 64, 256}
@@ -477,6 +648,7 @@ int main(int argc, char** argv) {
             << util::fmt(policy_speedup, 3) << "x)\n";
 
   util::JsonObject doc;
+  const bool lml_ok = lml_section(reps, doc);
   doc["bench"] = "inner_loop";
   doc["smoke"] = smoke;
   doc["reps"] = reps;
@@ -500,6 +672,10 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: RFF posterior mean error out of tolerance (mean "
               << err_mean << " vs " << kRffMeanErrGate
               << " std units, per-size cap " << kRffSizeErrGate << ")\n";
+    return 1;
+  }
+  if (!lml_ok) {
+    std::cerr << "FAIL: fitted hyperparameters differ from the reference\n";
     return 1;
   }
   return 0;

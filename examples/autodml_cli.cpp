@@ -428,12 +428,14 @@ int cmd_tune(const wl::Workload& workload, const util::ArgParser& args) {
     std::printf("journal %s: replayed %zu trials without re-evaluating\n",
                 options.journal_path.c_str(), tuner.replayed_trials());
   }
+  // Search cost from the trial records, journal-replayed trials included
+  // (the evaluator's ledger charges only the runs this process made).
+  int attempts = 0, transients = 0;
+  for (const core::Trial& t : result.trials) {
+    attempts += t.outcome.attempts;
+    if (t.outcome.transient_failure()) ++transients;
+  }
   if (supervised) {
-    int attempts = 0, transients = 0;
-    for (const core::Trial& t : result.trials) {
-      attempts += t.outcome.attempts;
-      if (t.outcome.transient_failure()) ++transients;
-    }
     std::printf(
         "fault environment %s: %d attempts across %zu evaluations, "
         "%d unrecovered transient failure(s)\n",
@@ -458,9 +460,9 @@ int cmd_tune(const wl::Workload& workload, const util::ArgParser& args) {
                 util::fmt(truth.tta_seconds / 3600.0).c_str(),
                 util::fmt(truth.cost_usd).c_str());
   }
-  std::printf("search cost: %s simulated hours over %zu runs\n",
-              util::fmt(evaluator.total_spent_seconds() / 3600.0).c_str(),
-              evaluator.num_runs());
+  std::printf("search cost: %s simulated hours over %d runs\n",
+              util::fmt(result.total_spent_seconds / 3600.0).c_str(),
+              attempts);
   return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "gp/blocked.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
@@ -13,6 +14,71 @@ namespace autodml::gp {
 
 namespace {
 constexpr double kLog2Pi = 1.8378770664093454836;
+
+// The two triangular products of the likelihood gradient, a row at a
+// time: every entry of the row accumulates together, each entry's sum in
+// ascending k from 0.0. Out of line so that the __restrict qualifiers hold
+// and the blocks vectorize; `out` may be a row of the matrix `inv` points
+// into, but never one read through `inv`.
+
+/// Row i of L^{-1} from row i of L and rows 0..i-1 of L^{-1} (row stride
+/// n): out[j] = -(sum_{k=j}^{i-1} L(i,k) L^{-1}(k,j)) / L(i,i) for j < i,
+/// out[i] = 1 / L(i,i).
+[[gnu::noinline]] void lower_inverse_row(const double* __restrict l_i,
+                                         const double* __restrict inv,
+                                         std::size_t n, std::size_t i,
+                                         double* __restrict out) {
+  std::fill(out, out + i, 0.0);
+  for (std::size_t k = 0; k < i; ++k) {
+    const double a = l_i[k];
+    const double* inv_k = inv + k * n;
+    for_each_blocked(k + 1, [=](std::size_t j) { out[j] += a * inv_k[j]; });
+  }
+  const double pivot = l_i[i];
+  for_each_blocked(i, [=](std::size_t j) { out[j] = -out[j] / pivot; });
+  out[i] = 1.0 / pivot;
+}
+
+/// Row i of K^{-1}, lower half, from L^{-1} (n x n):
+/// out[j] = sum_{k=i}^{n-1} L^{-1}(k,i) L^{-1}(k,j) for j <= i.
+[[gnu::noinline]] void inverse_row(const double* __restrict inv,
+                                   std::size_t n, std::size_t i,
+                                   double* __restrict out) {
+  std::fill(out, out + i + 1, 0.0);
+  for (std::size_t k = i; k < n; ++k) {
+    const double* inv_k = inv + k * n;
+    const double a = inv_k[i];
+    for_each_blocked(i + 1, [=](std::size_t j) { out[j] += a * inv_k[j]; });
+  }
+}
+
+/// out[r] = sum_p w[p] * (s[p] * rows[r * n + p]) over p in [0, n), each
+/// sum in ascending p from 0.0; the kRows chains run interleaved.
+template <std::size_t kRows>
+void weighted_row_sums(const double* w, const double* s, const double* rows,
+                       std::size_t n, double* out) {
+  double acc[kRows] = {};
+  for (std::size_t p = 0; p < n; ++p) {
+    const double wp = w[p];
+    const double sp = s[p];
+    for (std::size_t r = 0; r < kRows; ++r)
+      acc[r] += wp * (sp * rows[r * n + p]);
+  }
+  for (std::size_t r = 0; r < kRows; ++r) out[r] = acc[r];
+}
+
+/// Rows per interleaved block of the gradient sums.
+constexpr std::size_t kRowBlock = 8;
+
+/// weighted_row_sums over the last `rows` < kRowBlock rows, all interleaved.
+template <std::size_t kRows = kRowBlock - 1>
+void weighted_row_tail(std::size_t rows, const double* w, const double* s,
+                       const double* terms, std::size_t n, double* out) {
+  if constexpr (kRows > 0) {
+    if (rows == kRows) return weighted_row_sums<kRows>(w, s, terms, n, out);
+    weighted_row_tail<kRows - 1>(rows, w, s, terms, n, out);
+  }
+}
 
 void clamp_to_bounds(std::span<double> x, std::span<const double> lo,
                      std::span<const double> hi) {
@@ -28,6 +94,9 @@ GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
       options_(options),
       log_noise_(std::log(options.initial_noise)) {
   if (!kernel_) throw std::invalid_argument("GaussianProcess: null kernel");
+  if (!dynamic_cast<const ArdKernelBase*>(kernel_.get()))
+    throw std::invalid_argument(
+        "GaussianProcess: kernel must derive from ArdKernelBase");
 }
 
 GaussianProcess::GaussianProcess(const GaussianProcess& other)
@@ -55,85 +124,161 @@ void GaussianProcess::apply_packed(std::span<const double> packed) {
   log_noise_ = packed.back();
 }
 
+struct GaussianProcess::LmlWorkspace {
+  LmlWorkspace(const math::Matrix& x, std::size_t n_kernel);
+
+  std::size_t n;
+  std::size_t pairs;  // lower-triangle pairs p = i(i+1)/2 + j, j <= i
+  math::Vec diffs;    // x_i[d] - x_j[d] at [d * pairs + p]
+  math::Vec hypers;   // exp() of the packed kernel log-hypers
+  math::Vec value;    // k per pair
+  math::Vec terms;    // u_d = ((x_i[d] - x_j[d]) / l_d)^2 at [d * pairs + p]
+  math::Vec coeff;    // d k / d log l_d = coeff[p] * u_d
+  math::Vec weight;   // per-pair gradient weight -1/2 (2 - [i == j]) W_ij
+  math::Vec kinv;     // one row of K^{-1}
+  math::Matrix gram;
+  math::Matrix linv;  // L^{-1}, lower triangle
+};
+
+GaussianProcess::LmlWorkspace::LmlWorkspace(const math::Matrix& x,
+                                            std::size_t n_kernel)
+    : n(x.rows()),
+      pairs(n * (n + 1) / 2),
+      diffs(x.cols() * pairs),
+      hypers(n_kernel),
+      value(pairs),
+      terms(x.cols() * pairs),
+      coeff(pairs),
+      weight(pairs),
+      kinv(n),
+      gram(n, n),
+      linv(n, n) {
+  for (std::size_t d = 0; d < x.cols(); ++d) {
+    double* out = diffs.data() + d * pairs;
+    for (std::size_t i = 0, p = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j, ++p) out[p] = x(i, d) - x(j, d);
+    }
+  }
+}
+
 GaussianProcess::LmlResult GaussianProcess::negative_lml(
     std::span<const double> packed) const {
+  LmlWorkspace ws(x_, kernel_->num_hyperparams());
+  LmlResult out;
+  out.grad.assign(packed.size(), 0.0);
+  out.value = evaluate_nlml(packed, ws, out.grad);
+  return out;
+}
+
+double GaussianProcess::negative_lml_value(
+    std::span<const double> packed) const {
+  LmlWorkspace ws(x_, kernel_->num_hyperparams());
+  return evaluate_nlml(packed, ws, {});
+}
+
+double GaussianProcess::evaluate_nlml(std::span<const double> packed,
+                                      LmlWorkspace& ws,
+                                      std::span<double> grad) const {
+  const std::size_t n_kernel = kernel_->num_hyperparams();
+  if (packed.size() != n_kernel + 1 ||
+      (!grad.empty() && grad.size() != packed.size()))
+    throw std::invalid_argument("GaussianProcess: hyperparameter count");
+  const bool with_grad = !grad.empty();
   if (lml_cache_ && lml_cache_->data_version == data_version_ &&
-      lml_cache_->theta.size() == packed.size() &&
-      std::equal(packed.begin(), packed.end(), lml_cache_->theta.begin())) {
+      (lml_cache_->has_grad || !with_grad) &&
+      std::equal(packed.begin(), packed.end(), lml_cache_->theta.begin(),
+                 lml_cache_->theta.end())) {
     ADML_COUNT("gp.lml_cache_hits", 1);
-    return lml_cache_->result;
+    if (with_grad)
+      std::copy(lml_cache_->grad.begin(), lml_cache_->grad.end(), grad.begin());
+    return lml_cache_->value;
   }
   ADML_COUNT("gp.lml_evals", 1);
 
-  // Evaluate on a scratch clone so the public state stays untouched.
-  auto k = kernel_->clone();
-  k->set_hyperparams(packed.subspan(0, packed.size() - 1));
+  // Every pair's Gram entry (and, for a gradient, the factors of its
+  // dK/dtheta) in one batched kernel call at exp(packed), without touching
+  // kernel_.
+  const std::size_t n = ws.n;
+  const std::size_t pairs = ws.pairs;
+  for (std::size_t t = 0; t < n_kernel; ++t) ws.hypers[t] = std::exp(packed[t]);
   const double noise_var = std::exp(packed.back());
-
-  // One pass over the lower-triangle pairs fills the Gram matrix and, pair
-  // by pair, the kernel-hyperparameter derivatives dK/dtheta (pair-major:
-  // pair p = i(i+1)/2 + j holds n_kernel contiguous entries), which the
-  // gradient loop below reads back in the same order.
-  const std::size_t n = targets_std_.size();
-  const std::size_t n_kernel = packed.size() - 1;
-  math::Matrix gram(n, n);
-  std::vector<double> dk(n * (n + 1) / 2 * n_kernel);
+  if (with_grad) {
+    ard().eval_pairs(ws.hypers, ws.diffs, ws.value, ws.terms, ws.coeff);
+  } else {
+    ard().eval_pairs(ws.hypers, ws.diffs, ws.value, {}, {});
+  }
   for (std::size_t i = 0, p = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j, ++p) {
-      const double v = k->eval_with_grad(
-          x_.row(i), x_.row(j),
-          std::span<double>(dk.data() + p * n_kernel, n_kernel));
+      const double v = ws.value[p];
       AUTODML_CHECK(std::isfinite(v),
                     "GP kernel produced non-finite value " +
                         std::to_string(v) + " for training pair (" +
                         std::to_string(i) + "," + std::to_string(j) + ")");
-      gram(i, j) = v;
-      gram(j, i) = v;
+      ws.gram(i, j) = v;
+      ws.gram(j, i) = v;
     }
-    gram(i, i) += noise_var;
+    ws.gram(i, i) += noise_var;
   }
 
-  LmlResult out;
-  out.grad.assign(packed.size(), 0.0);
   math::CholeskyFactor factor;
   try {
-    factor = math::cholesky_with_jitter(gram);
+    factor = math::cholesky_with_jitter(ws.gram);
   } catch (const std::runtime_error&) {
-    out.value = 1e100;  // reject this hyperparameter point
-    return out;
+    std::fill(grad.begin(), grad.end(), 0.0);
+    return 1e100;  // reject this hyperparameter point
   }
   const math::Vec alpha = factor.solve(targets_std_);
   const double fit_term = 0.5 * math::dot(targets_std_, alpha);
   const double lml = -fit_term - 0.5 * factor.log_det() -
                      0.5 * static_cast<double>(n) * kLog2Pi;
-  out.value = -lml;
+  const double value = -lml;
 
-  // Gradient: dLML/dtheta = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta).
-  // K^{-1} = L^{-T} L^{-1} from the triangular inverse of the existing
-  // factor (~n^3/3 flops for inverse + symmetric product) instead of n
-  // unit-vector solves (~2n^3). Only the lower half is needed: both W and
-  // dK/dtheta are symmetric, so each off-diagonal pair contributes twice.
-  // Row i of the transposed inverse is column i of L^{-1}, so each K^{-1}
-  // entry sum_{kk>=i} L^{-1}(kk,i) L^{-1}(kk,j) walks two contiguous rows.
-  const math::Matrix linv_t = factor.lower_inverse().transposed();
-  for (std::size_t i = 0, p = 0; i < n; ++i) {
-    const auto row_i = linv_t.row(i);
-    for (std::size_t j = 0; j <= i; ++j, ++p) {
-      const auto row_j = linv_t.row(j);
-      double kinv_ij = 0.0;
-      for (std::size_t kk = i; kk < n; ++kk) kinv_ij += row_i[kk] * row_j[kk];
-      const double w = alpha[i] * alpha[j] - kinv_ij;
-      const double pair_weight = (i == j) ? 1.0 : 2.0;
-      const double* dk_ij = dk.data() + p * n_kernel;
-      for (std::size_t t = 0; t < n_kernel; ++t) {
-        out.grad[t] += -0.5 * pair_weight * w * dk_ij[t];  // negative LML
+  if (with_grad) {
+    // Gradient: dLML/dtheta = 0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta).
+    // K^{-1} = L^{-T} L^{-1} from the triangular inverse of the factor
+    // (~n^3/3 flops for inverse + symmetric product) instead of n
+    // unit-vector solves (~2n^3). Only the lower half is needed: both W and
+    // dK/dtheta are symmetric, so each off-diagonal pair counts twice.
+    double* linv = ws.linv.data().data();
+    for (std::size_t i = 0; i < n; ++i)
+      lower_inverse_row(factor.lower.row(i).data(), linv, n, i, linv + i * n);
+    double* kinv = ws.kinv.data();
+    for (std::size_t i = 0, p = 0; i < n; ++i) {
+      inverse_row(linv, n, i, kinv);
+      for (std::size_t j = 0; j <= i; ++j, ++p) {
+        const double w = alpha[i] * alpha[j] - kinv[j];
+        const double pair_weight = (i == j) ? 1.0 : 2.0;
+        ws.weight[p] = -0.5 * pair_weight * w;  // negative LML
       }
-      if (i == j) out.grad[n_kernel] += -0.5 * w * noise_var;
     }
+    // Each component sums its pair terms weight * dK in ascending pair order;
+    // dK/dlog l_d = coeff * u_d, dK/dlog s^2 = k.
+    const std::size_t dim = n_kernel - 1;
+    std::size_t d = 0;
+    for (; d + kRowBlock <= dim; d += kRowBlock) {
+      weighted_row_sums<kRowBlock>(ws.weight.data(), ws.coeff.data(),
+                                   ws.terms.data() + d * pairs, pairs,
+                                   &grad[d]);
+    }
+    weighted_row_tail(dim - d, ws.weight.data(), ws.coeff.data(),
+                      ws.terms.data() + d * pairs, pairs, &grad[d]);
+    double g_signal = 0.0;
+    for (std::size_t p = 0; p < pairs; ++p)
+      g_signal += ws.weight[p] * ws.value[p];
+    grad[dim] = g_signal;
+    double g_noise = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      g_noise += ws.weight[i * (i + 3) / 2] * noise_var;
+    grad[n_kernel] = g_noise;
   }
-  lml_cache_ = LmlCache{math::Vec(packed.begin(), packed.end()),
-                        data_version_, out};
-  return out;
+
+  if (!lml_cache_) lml_cache_.emplace();
+  lml_cache_->theta.assign(packed.begin(), packed.end());
+  lml_cache_->data_version = data_version_;
+  lml_cache_->has_grad = with_grad;
+  lml_cache_->value = value;
+  lml_cache_->grad.assign(grad.begin(), grad.end());
+  return value;
 }
 
 void GaussianProcess::factorize() {
@@ -300,17 +445,24 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
 
   // Adam projects its iterates onto [lo, hi] (AdamOptions bounds below), so
   // the gradient is always evaluated at the point the step actually reached.
+  LmlWorkspace ws(x_, kernel_->num_hyperparams());
   const auto objective_grad = [&](std::span<const double> theta,
                                   std::span<double> grad) {
-    const LmlResult r = negative_lml(theta);
-    std::copy(r.grad.begin(), r.grad.end(), grad.begin());
-    return r.value;
+    return evaluate_nlml(theta, ws, grad);
   };
-  // Nelder-Mead has no projection support; clamp inside the objective.
-  const auto objective = [&](std::span<const double> theta) {
-    math::Vec projected(theta.begin(), theta.end());
+  // The values before and after each Adam run take the gradient path too:
+  // the next gradient request at the same point then hits the memo.
+  math::Vec grad(lo.size());
+  const auto value_with_grad = [&](std::span<const double> theta) {
+    return evaluate_nlml(theta, ws, grad);
+  };
+  // Nelder-Mead reads only the value and has no projection support; clamp
+  // inside the objective.
+  math::Vec projected(lo.size());
+  const auto value_only = [&](std::span<const double> theta) {
+    std::copy(theta.begin(), theta.end(), projected.begin());
     clamp_to_bounds(projected, lo, hi);
-    return negative_lml(projected).value;
+    return evaluate_nlml(projected, ws, {});
   };
 
   math::AdamOptions adam_opts;
@@ -320,7 +472,7 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
 
   math::Vec best_theta = packed_hypers();
   clamp_to_bounds(best_theta, lo, hi);
-  double best_value = objective(best_theta);
+  double best_value = value_with_grad(best_theta);
 
   for (int restart = 0; restart <= options_.restarts; ++restart) {
     // Restart 0 warm-starts from the current hyperparameters.
@@ -330,7 +482,7 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
     const auto result = math::adam(objective_grad, start, adam_opts);
     math::Vec candidate = result.x;
     clamp_to_bounds(candidate, lo, hi);
-    const double value = objective(candidate);
+    const double value = value_with_grad(candidate);
     if (value < best_value) {
       best_value = value;
       best_theta = candidate;
@@ -341,7 +493,7 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
     math::NelderMeadOptions nm;
     nm.max_iterations = options_.polish_iterations;
     nm.initial_step = 0.2;
-    const auto polished = math::nelder_mead(objective, best_theta, nm);
+    const auto polished = math::nelder_mead(value_only, best_theta, nm);
     math::Vec candidate = polished.x;
     clamp_to_bounds(candidate, lo, hi);
     if (polished.value < best_value) best_theta = candidate;

@@ -3,10 +3,11 @@
 // The tuner's surrogate. Targets are standardized internally; the noise
 // variance is a hyperparameter fitted jointly with the kernel's by maximizing
 // the log marginal likelihood (analytic gradients + multi-start Adam, with a
-// Nelder-Mead polish). History sizes in configuration tuning are usually
-// small (tens to a few hundred points), where exact O(n^3) inference is the
-// right trade-off; past the SurrogateModel threshold the stack switches to
-// the random-Fourier-feature approximation in rff.h.
+// Nelder-Mead polish that evaluates the likelihood value only, without the
+// gradient's dK, L^{-1} and K^{-1}). History sizes in configuration tuning
+// are usually small (tens to a few hundred points), where exact O(n^3)
+// inference is the right trade-off; past the SurrogateModel threshold the
+// stack switches to the random-Fourier-feature approximation in rff.h.
 #pragma once
 
 #include <memory>
@@ -35,6 +36,8 @@ struct GpOptions {
 
 class GaussianProcess final : public Regressor {
  public:
+  /// Throws std::invalid_argument unless `kernel` derives from
+  /// ArdKernelBase (the likelihood evaluates it in batches).
   GaussianProcess(std::unique_ptr<Kernel> kernel, GpOptions options = {});
 
   GaussianProcess(const GaussianProcess& other);
@@ -85,10 +88,28 @@ class GaussianProcess final : public Regressor {
   /// log-hyperparameters [kernel..., log noise], on the current training
   /// data. Public as a diagnostic/testing surface (gradient checks); the
   /// result is memoized per (theta, data) so the hyperopt loop's repeated
-  /// evaluations at boundary-projected iterates are free.
+  /// evaluations at boundary-projected iterates are free. A point whose
+  /// Gram matrix is not PD even with jitter is rejected: value 1e100, zero
+  /// gradient, not memoized.
   LmlResult negative_lml(std::span<const double> packed) const;
 
+  /// The value of negative_lml(packed), bit for bit, without building the
+  /// gradient: what the Nelder-Mead polish evaluates. Shares the memo, but
+  /// the value-only entry it leaves never serves a gradient request.
+  double negative_lml_value(std::span<const double> packed) const;
+
  private:
+  /// Scratch for likelihood evaluations on one training set: the pair
+  /// differences, which do not depend on theta, and every buffer an
+  /// evaluation writes. fit() builds one per hyperopt round; the public
+  /// negative_lml calls build a temporary one.
+  struct LmlWorkspace;
+
+  /// Memoized negative LML at `packed`, writing the gradient to `grad`
+  /// (size packed.size()) unless it is empty.
+  double evaluate_nlml(std::span<const double> packed, LmlWorkspace& ws,
+                       std::span<double> grad) const;
+
   /// Bounds and random restart starts of one hyperopt round, packed
   /// [kernel log-hypers..., log noise].
   struct HyperoptPlan {
@@ -100,6 +121,11 @@ class GaussianProcess final : public Regressor {
   /// fit runs no hyperopt. The only rng use in fit(), shared by skip_fit().
   std::optional<HyperoptPlan> plan_hyperopt(std::size_t n,
                                             util::Rng& rng) const;
+
+  /// The kernel, checked to be ARD at construction.
+  const ArdKernelBase& ard() const {
+    return static_cast<const ArdKernelBase&>(*kernel_);
+  }
 
   void factorize();
   math::Vec packed_hypers() const;
@@ -123,12 +149,16 @@ class GaussianProcess final : public Regressor {
   struct LmlCache {
     math::Vec theta;
     std::uint64_t data_version = 0;
-    LmlResult result;
+    bool has_grad = false;  // false: a value-only entry
+    double value = 0.0;
+    math::Vec grad;  // empty unless has_grad
   };
-  /// Last negative_lml evaluation. The hyperopt loop evaluates the same
-  /// theta repeatedly (value+grad pairs, boundary-projected iterates, the
-  /// post-Adam re-evaluation), all sharing the same X — one memo slot
-  /// eliminates the duplicated Gram build + factorization.
+  /// Last accepted likelihood evaluation. The hyperopt loop evaluates the
+  /// same theta repeatedly (value+grad pairs, boundary-projected iterates,
+  /// the post-Adam re-evaluation), all sharing the same X — one memo slot
+  /// eliminates the duplicated Gram build + factorization. A value request
+  /// takes either kind of entry; a gradient request takes only an entry
+  /// with has_grad.
   mutable std::optional<LmlCache> lml_cache_;
 };
 

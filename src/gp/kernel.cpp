@@ -1,7 +1,10 @@
 #include "gp/kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "gp/blocked.h"
 
 namespace autodml::gp {
 
@@ -52,27 +55,93 @@ math::Vec ArdKernelBase::inverse_lengthscales() const {
 }
 
 double ArdKernelBase::scaled_sq_dist(std::span<const double> a,
-                                     std::span<const double> b,
-                                     std::span<double> u) const {
+                                     std::span<const double> b) const {
   if (a.size() != lengthscales_.size() || b.size() != lengthscales_.size())
     throw std::invalid_argument("kernel: input dimension mismatch");
   double s = 0.0;
   for (std::size_t d = 0; d < lengthscales_.size(); ++d) {
     const double diff = (a[d] - b[d]) / lengthscales_[d];
-    const double ud = diff * diff;
-    if (!u.empty()) u[d] = ud;
-    s += ud;
+    s += diff * diff;
   }
   return s;
 }
 
-void ArdKernelBase::check_grad_size(std::span<const double> grad_out) const {
-  if (grad_out.size() != num_hyperparams())
-    throw std::invalid_argument("kernel: gradient size mismatch");
+namespace {
+// The element-wise loops of eval_pairs over the pairs of one dimension.
+// The buffers never overlap. Kept out of line so that the __restrict
+// qualifiers survive and the blocks vectorize.
+
+/// r2[p] += (diff[p] / l)^2.
+[[gnu::noinline]] void add_scaled_sq(const double* __restrict diff,
+                                     double l, double* __restrict r2,
+                                     std::size_t pairs) {
+  for_each_blocked(pairs, [=](std::size_t p) {
+    const double t = diff[p] / l;
+    r2[p] += t * t;
+  });
 }
 
-math::Vec Kernel::grad_hyper(std::span<const double> a,
-                             std::span<const double> b) const {
+/// u[p] = (diff[p] / l)^2 and r2[p] += u[p].
+[[gnu::noinline]] void add_scaled_sq(const double* __restrict diff,
+                                     double l, double* __restrict r2,
+                                     double* __restrict u,
+                                     std::size_t pairs) {
+  for_each_blocked(pairs, [=](std::size_t p) {
+    const double t = diff[p] / l;
+    u[p] = t * t;
+    r2[p] += u[p];
+  });
+}
+}  // namespace
+
+void ArdKernelBase::eval_pairs(std::span<const double> hypers,
+                               std::span<const double> diffs,
+                               std::span<double> value,
+                               std::span<double> terms,
+                               std::span<double> coeff) const {
+  const std::size_t dim = lengthscales_.size();
+  const std::size_t pairs = value.size();
+  const bool with_grad = !terms.empty() || !coeff.empty();
+  if (hypers.size() != dim + 1 || diffs.size() != dim * pairs ||
+      (with_grad && (terms.size() != dim * pairs || coeff.size() != pairs)))
+    throw std::invalid_argument("kernel: eval_pairs size mismatch");
+  // Same per-pair operations as scaled_sq_dist, dimension by dimension:
+  // each pair still sums its u_d from 0.0 in ascending d.
+  std::fill(value.begin(), value.end(), 0.0);
+  for (std::size_t d = 0; d < dim; ++d) {
+    const double* diff = diffs.data() + d * pairs;
+    if (with_grad) {
+      add_scaled_sq(diff, hypers[d], value.data(), terms.data() + d * pairs,
+                    pairs);
+    } else {
+      add_scaled_sq(diff, hypers[d], value.data(), pairs);
+    }
+  }
+  radial(hypers[dim], value, coeff);
+}
+
+double ArdKernelBase::eval_with_grad(std::span<const double> a,
+                                     std::span<const double> b,
+                                     std::span<double> grad_out) const {
+  const std::size_t dim = lengthscales_.size();
+  if (a.size() != dim || b.size() != dim)
+    throw std::invalid_argument("kernel: input dimension mismatch");
+  if (grad_out.size() != num_hyperparams())
+    throw std::invalid_argument("kernel: gradient size mismatch");
+  math::Vec hypers(lengthscales_);
+  hypers.push_back(signal_variance_);
+  math::Vec diffs(dim);
+  for (std::size_t d = 0; d < dim; ++d) diffs[d] = a[d] - b[d];
+  double k = 0.0, coeff = 0.0;
+  eval_pairs(hypers, diffs, std::span<double>(&k, 1), grad_out.first(dim),
+             std::span<double>(&coeff, 1));
+  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = coeff * grad_out[d];
+  grad_out[dim] = k;
+  return k;
+}
+
+math::Vec ArdKernelBase::grad_hyper(std::span<const double> a,
+                                    std::span<const double> b) const {
   math::Vec grad(num_hyperparams());
   eval_with_grad(a, b, grad);
   return grad;
@@ -80,23 +149,23 @@ math::Vec Kernel::grad_hyper(std::span<const double> a,
 
 // ---- Squared exponential ---------------------------------------------------
 
+namespace {
+double se_k(double sv, double r2) { return sv * std::exp(-0.5 * r2); }
+}  // namespace
+
 double SquaredExponentialArd::eval(std::span<const double> a,
                                    std::span<const double> b) const {
-  return signal_variance_ * std::exp(-0.5 * scaled_sq_dist(a, b));
+  return se_k(signal_variance_, scaled_sq_dist(a, b));
 }
 
-double SquaredExponentialArd::eval_with_grad(
-    std::span<const double> a, std::span<const double> b,
-    std::span<double> grad_out) const {
-  check_grad_size(grad_out);
-  const std::size_t dim = lengthscales_.size();
-  const double s = scaled_sq_dist(a, b, grad_out.first(dim));
-  const double k = signal_variance_ * std::exp(-0.5 * s);
-  // d/d log l_d: u_d depends on l_d as l_d^{-2}; d u_d / d log l_d = -2 u_d,
-  // so d k / d log l_d = k * u_d.
-  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = k * grad_out[d];
-  grad_out[dim] = k;  // d/d log s^2
-  return k;
+void SquaredExponentialArd::radial(double sv, std::span<double> r2_to_k,
+                                   std::span<double> coeff) const {
+  // u_d depends on l_d as l_d^{-2}; d u_d / d log l_d = -2 u_d, so
+  // d k / d log l_d = k * u_d.
+  for (std::size_t p = 0; p < r2_to_k.size(); ++p) {
+    r2_to_k[p] = se_k(sv, r2_to_k[p]);
+    if (!coeff.empty()) coeff[p] = r2_to_k[p];
+  }
 }
 
 std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
@@ -105,29 +174,32 @@ std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
 
 // ---- Matern 5/2 -------------------------------------------------------------
 
+namespace {
+/// k at r^2, with r = sqrt(r^2) and e = exp(-sqrt5 r).
+double matern_k(double sv, double r2, double r, double e) {
+  return sv * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
+}
+}  // namespace
+
 double Matern52Ard::eval(std::span<const double> a,
                          std::span<const double> b) const {
   const double r2 = scaled_sq_dist(a, b);
   const double r = std::sqrt(r2);
-  return signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) *
-         std::exp(-kSqrt5 * r);
+  return matern_k(signal_variance_, r2, r, std::exp(-kSqrt5 * r));
 }
 
-double Matern52Ard::eval_with_grad(std::span<const double> a,
-                                   std::span<const double> b,
-                                   std::span<double> grad_out) const {
-  check_grad_size(grad_out);
-  const std::size_t dim = lengthscales_.size();
-  const double r2 = scaled_sq_dist(a, b, grad_out.first(dim));
-  const double r = std::sqrt(r2);
-  const double e = std::exp(-kSqrt5 * r);
-  // dk/dr = -(5/3) r (1 + sqrt5 r) e^{-sqrt5 r}; dr/d log l_d = -u_d / r.
-  // Product has no 1/r singularity: dk/d log l_d = s^2 (5/3)(1+sqrt5 r) e u_d.
-  const double coeff = signal_variance_ * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
-  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = coeff * grad_out[d];
-  const double k = signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
-  grad_out[dim] = k;  // d/d log s^2
-  return k;
+void Matern52Ard::radial(double sv, std::span<double> r2_to_k,
+                         std::span<double> coeff) const {
+  for (std::size_t p = 0; p < r2_to_k.size(); ++p) {
+    const double r2 = r2_to_k[p];
+    const double r = std::sqrt(r2);
+    const double e = std::exp(-kSqrt5 * r);
+    // dk/dr = -(5/3) r (1 + sqrt5 r) e^{-sqrt5 r}; dr/d log l_d = -u_d / r.
+    // The product has no 1/r singularity:
+    // dk/d log l_d = s^2 (5/3)(1+sqrt5 r) e u_d.
+    if (!coeff.empty()) coeff[p] = sv * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
+    r2_to_k[p] = matern_k(sv, r2, r, e);
+  }
 }
 
 std::unique_ptr<Kernel> Matern52Ard::clone() const {

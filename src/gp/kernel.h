@@ -31,19 +31,6 @@ class Kernel {
   virtual double eval(std::span<const double> a,
                       std::span<const double> b) const = 0;
 
-  /// Returns k(a,b) and writes d k(a,b) / d log_theta_i for every
-  /// hyperparameter to `grad_out` (size num_hyperparams()). Allocates
-  /// nothing; bitwise-equal to eval() plus grad_hyper(). The marginal-
-  /// likelihood gradient fills the Gram matrix and its derivatives in one
-  /// pass with it.
-  virtual double eval_with_grad(std::span<const double> a,
-                                std::span<const double> b,
-                                std::span<double> grad_out) const = 0;
-
-  /// d k(a,b) / d log_theta_i for every hyperparameter.
-  math::Vec grad_hyper(std::span<const double> a,
-                       std::span<const double> b) const;
-
   virtual std::unique_ptr<Kernel> clone() const = 0;
 };
 
@@ -61,6 +48,37 @@ class ArdKernelBase : public Kernel {
   void set_hyperparams(std::span<const double> log_theta) override;
   std::pair<math::Vec, math::Vec> hyper_bounds() const override;
 
+  /// k and its log-hyperparameter derivatives for many input pairs in one
+  /// call, at the hyperparameters `hypers` (linear space: [l_1..l_D, s^2],
+  /// exp() of each hyperparams() entry) instead of the kernel's own, so a
+  /// marginal-likelihood evaluation needs no kernel copy. With
+  /// pairs = value.size():
+  ///   - diffs[d * pairs + p] = a_p[d] - b_p[d] (dimension-major);
+  ///   - value[p] receives k(a_p, b_p);
+  ///   - unless `terms` and `coeff` are empty, terms[d * pairs + p]
+  ///     receives u_d = ((a_p[d] - b_p[d]) / l_d)^2 and coeff[p] the
+  ///     profile's gradient coefficient c, so that
+  ///     d k / d log l_d = coeff[p] * terms[d * pairs + p] and
+  ///     d k / d log s^2 = value[p].
+  /// r^2 = sum_d u_d is accumulated over d in ascending order with all
+  /// pairs advancing together, and the radial profile maps it to k and c.
+  /// Allocates nothing. Each value, and each product coeff * term, is
+  /// bitwise what eval() and grad_hyper() give for that pair at the same
+  /// hyperparameters.
+  void eval_pairs(std::span<const double> hypers,
+                  std::span<const double> diffs, std::span<double> value,
+                  std::span<double> terms, std::span<double> coeff) const;
+
+  /// k(a,b) and d k(a,b) / d log theta_t into `grad_out` (size
+  /// num_hyperparams()): eval_pairs() on one pair at the current
+  /// hyperparameters.
+  double eval_with_grad(std::span<const double> a, std::span<const double> b,
+                        std::span<double> grad_out) const;
+
+  /// d k(a,b) / d log theta_t for every hyperparameter.
+  math::Vec grad_hyper(std::span<const double> a,
+                       std::span<const double> b) const;
+
   std::span<const double> lengthscales() const { return lengthscales_; }
   double signal_variance() const { return signal_variance_; }
 
@@ -69,14 +87,15 @@ class ArdKernelBase : public Kernel {
   math::Vec inverse_lengthscales() const;
 
  protected:
-  /// r^2 = sum_d u_d over the scaled squared distance terms
-  /// u_d = (a_d-b_d)^2 / l_d^2, accumulated in dimension order. When `u`
-  /// is non-empty it receives the terms (u.size() == input_dim()).
-  double scaled_sq_dist(std::span<const double> a, std::span<const double> b,
-                        std::span<double> u = {}) const;
+  /// r^2 = sum_d ((a_d - b_d) / l_d)^2, accumulated in dimension order.
+  double scaled_sq_dist(std::span<const double> a,
+                        std::span<const double> b) const;
 
-  /// Throws unless grad_out has one slot per hyperparameter.
-  void check_grad_size(std::span<const double> grad_out) const;
+  /// The radial profile, once per batch: replaces each r^2 in `r2_to_k`
+  /// with k at signal variance `sv` and, unless `coeff` is empty, writes
+  /// the lengthscale-gradient coefficient of the same pair to `coeff`.
+  virtual void radial(double sv, std::span<double> r2_to_k,
+                      std::span<double> coeff) const = 0;
 
   std::vector<double> lengthscales_;
   double signal_variance_ = 1.0;
@@ -88,9 +107,11 @@ class SquaredExponentialArd final : public ArdKernelBase {
   using ArdKernelBase::ArdKernelBase;
   double eval(std::span<const double> a,
               std::span<const double> b) const override;
-  double eval_with_grad(std::span<const double> a, std::span<const double> b,
-                        std::span<double> grad_out) const override;
   std::unique_ptr<Kernel> clone() const override;
+
+ private:
+  void radial(double sv, std::span<double> r2_to_k,
+              std::span<double> coeff) const override;
 };
 
 /// Matern-5/2 with ARD: k = s^2 (1 + sqrt5 r + 5/3 r^2) exp(-sqrt5 r),
@@ -101,9 +122,11 @@ class Matern52Ard final : public ArdKernelBase {
   using ArdKernelBase::ArdKernelBase;
   double eval(std::span<const double> a,
               std::span<const double> b) const override;
-  double eval_with_grad(std::span<const double> a, std::span<const double> b,
-                        std::span<double> grad_out) const override;
   std::unique_ptr<Kernel> clone() const override;
+
+ private:
+  void radial(double sv, std::span<double> r2_to_k,
+              std::span<double> coeff) const override;
 };
 
 }  // namespace autodml::gp

@@ -8,6 +8,8 @@
 #include "gp/kernel.h"
 #include "math/cholesky.h"
 #include "math/optimize.h"
+#include "obs/metrics.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -512,6 +514,282 @@ TYPED_TEST(LmlBitwiseTest, NearDuplicateRowsEscalateJitterIdentically) {
   EXPECT_EQ(bits(got.value), bits(want.value));
   for (std::size_t i = 0; i < want.grad.size(); ++i)
     EXPECT_EQ(bits(got.grad[i]), bits(want.grad[i])) << "hyper " << i;
+}
+
+// ---- batched kernel fill and the value-only likelihood, bit for bit ----
+
+/// Lower-triangle pair differences, dimension-major: [d * pairs + p] with
+/// p = i(i+1)/2 + j, j <= i — the layout eval_pairs reads.
+math::Vec pair_diffs(const math::Matrix& x) {
+  const std::size_t n = x.rows();
+  const std::size_t pairs = n * (n + 1) / 2;
+  math::Vec diffs(x.cols() * pairs);
+  for (std::size_t d = 0; d < x.cols(); ++d) {
+    for (std::size_t i = 0, p = 0; i < n; ++i)
+      for (std::size_t j = 0; j <= i; ++j, ++p)
+        diffs[d * pairs + p] = x(i, d) - x(j, d);
+  }
+  return diffs;
+}
+
+TYPED_TEST(LmlBitwiseTest, BatchedFillMatchesPerPairEvalAndReferenceDk) {
+  util::Rng rng(35);
+  for (const std::size_t dim : {1u, 4u, 19u}) {
+    for (const std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
+      TypeParam k(dim);
+      const auto [lo, hi] = k.hyper_bounds();
+      math::Vec theta(k.num_hyperparams());
+      for (std::size_t i = 0; i < theta.size(); ++i)
+        theta[i] = rng.uniform(lo[i], hi[i]);
+      k.set_hyperparams(theta);
+      math::Vec hypers(theta.size());
+      for (std::size_t i = 0; i < theta.size(); ++i)
+        hypers[i] = std::exp(theta[i]);
+
+      math::Matrix x = random_inputs(n, dim, rng);
+      if (n > 2) x.row(2)[0] = x.row(1)[0];  // an exactly zero difference
+      const math::Vec diffs = pair_diffs(x);
+      const std::size_t pairs = n * (n + 1) / 2;
+      math::Vec value(pairs), value_only(pairs);
+      math::Vec terms(dim * pairs, -1.0), coeff(pairs, -1.0);
+      k.eval_pairs(hypers, diffs, value, terms, coeff);
+      k.eval_pairs(hypers, diffs, value_only, {}, {});
+      for (std::size_t i = 0, p = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j, ++p) {
+          const double want = k.eval(x.row(i), x.row(j));
+          EXPECT_EQ(bits(value[p]), bits(want))
+              << "d=" << dim << " n=" << n << " pair " << p;
+          EXPECT_EQ(bits(value_only[p]), bits(want)) << "pair " << p;
+          // dK: coeff * u_d per lengthscale, k for the signal variance.
+          const math::Vec grad = reference_grad(k, x.row(i), x.row(j));
+          for (std::size_t d = 0; d < dim; ++d) {
+            EXPECT_EQ(bits(coeff[p] * terms[d * pairs + p]), bits(grad[d]))
+                << "d=" << dim << " n=" << n << " pair " << p << " dim " << d;
+          }
+          EXPECT_EQ(bits(value[p]), bits(grad[dim])) << "pair " << p;
+        }
+      }
+    }
+  }
+  TypeParam k(2);
+  math::Vec value(3), coeff(3), short_terms(5);
+  EXPECT_THROW(
+      k.eval_pairs(math::Vec(3, 1.0), math::Vec(5, 0.0), value, {}, {}),
+      std::invalid_argument);
+  EXPECT_THROW(k.eval_pairs(math::Vec(3, 1.0), math::Vec(6, 0.0), value,
+                            short_terms, coeff),
+               std::invalid_argument);
+}
+
+/// Value-only evaluation on a fresh copy of `gp` against the gradient
+/// path's value on another, so neither is served by the other's memo.
+void expect_value_only_matches(const GaussianProcess& gp,
+                               std::span<const double> theta) {
+  const GaussianProcess value_side(gp);
+  const GaussianProcess grad_side(gp);
+  const double value = value_side.negative_lml_value(theta);
+  EXPECT_EQ(bits(value), bits(grad_side.negative_lml(theta).value));
+}
+
+TYPED_TEST(LmlBitwiseTest, ValueOnlyMatchesNegativeLmlValue) {
+  constexpr std::size_t kDim = 3;
+  util::Rng rng(36);
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
+    const math::Matrix x = random_inputs(n, kDim, rng);
+    math::Vec y(n);
+    for (std::size_t i = 0; i < n; ++i)
+      y[i] = std::cos(3.0 * x(i, 0)) + x(i, 1) + 0.1 * rng.normal();
+    GaussianProcess gp(std::make_unique<TypeParam>(kDim));
+    gp.refit(x, y);
+    auto [lo, hi] = TypeParam(kDim).hyper_bounds();
+    lo.push_back(std::log(1e-8));
+    hi.push_back(0.0);
+    for (int r = 0; r < 4; ++r) {
+      math::Vec theta(lo.size());
+      for (std::size_t i = 0; i < theta.size(); ++i)
+        theta[i] = rng.uniform(lo[i], hi[i]);
+      expect_value_only_matches(gp, theta);
+    }
+  }
+}
+
+TYPED_TEST(LmlBitwiseTest, ValueOnlyMatchesUnderJitterEscalation) {
+  // The near-duplicate setup of NearDuplicateRowsEscalateJitterIdentically.
+  constexpr std::size_t kDim = 2;
+  constexpr std::size_t kN = 17;
+  util::Rng rng(34);
+  math::Matrix x(kN, kDim);
+  math::Vec y(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const std::size_t base = i / 2;
+    for (std::size_t d = 0; d < kDim; ++d)
+      x(i, d) = 0.05 * static_cast<double>(base + d) + (i % 2) * 1e-13;
+    y[i] = rng.normal();
+  }
+  GaussianProcess gp(std::make_unique<TypeParam>(kDim));
+  gp.refit(x, y);
+  const math::Vec theta{std::log(15.0), std::log(15.0), std::log(40.0),
+                        std::log(1e-16)};
+  double jitter = 0.0;
+  reference_negative_lml<TypeParam>(x, y, theta, &jitter);
+  ASSERT_GT(jitter, 0.0);
+  expect_value_only_matches(gp, theta);
+}
+
+TYPED_TEST(LmlBitwiseTest, ValueOnlyMatchesOnRejectedPoint) {
+  if (AUTODML_CHECKED_ENABLED)
+    GTEST_SKIP() << "checked builds stop at the non-finite kernel value";
+  // A lengthscale that underflows to 0 makes the diagonal pairs 0/0: the
+  // factorization fails at every jitter and the point is rejected.
+  constexpr std::size_t kDim = 2;
+  util::Rng rng(37);
+  const math::Matrix x = random_inputs(5, kDim, rng);
+  const math::Vec y{0.1, -0.4, 0.9, 0.3, -0.2};
+  GaussianProcess gp(std::make_unique<TypeParam>(kDim));
+  gp.refit(x, y);
+  const math::Vec theta{-800.0, 0.0, 0.0, std::log(1e-2)};
+  const GaussianProcess::LmlResult full =
+      GaussianProcess(gp).negative_lml(theta);
+  EXPECT_EQ(full.value, 1e100);
+  for (double g : full.grad) EXPECT_EQ(g, 0.0);
+  expect_value_only_matches(gp, theta);
+}
+
+/// Reads one counter of the process-wide registry.
+std::int64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+TEST(LmlMemo, ValueOnlyEntryNeverServesAGradientRequest) {
+  constexpr std::size_t kDim = 2;
+  util::Rng rng(38);
+  const math::Matrix x = random_inputs(9, kDim, rng);
+  math::Vec y(9);
+  for (std::size_t i = 0; i < 9; ++i) y[i] = std::sin(5.0 * x(i, 0));
+  GaussianProcess gp(std::make_unique<Matern52Ard>(kDim));
+  gp.refit(x, y);
+  const GaussianProcess fresh(gp);
+  const math::Vec theta{std::log(0.3), std::log(0.7), 0.0, std::log(1e-3)};
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const bool was_enabled = registry.enabled();
+  registry.enable();
+  const std::int64_t evals0 = counter_value("gp.lml_evals");
+  const std::int64_t hits0 = counter_value("gp.lml_cache_hits");
+  const double value = gp.negative_lml_value(theta);
+  EXPECT_EQ(counter_value("gp.lml_evals") - evals0, 1);
+  EXPECT_EQ(bits(gp.negative_lml_value(theta)), bits(value));
+  EXPECT_EQ(counter_value("gp.lml_cache_hits") - hits0, 1);
+  // The memo holds a value-only entry at theta: the gradient request must
+  // evaluate, and counts one evaluation, not a hit.
+  const GaussianProcess::LmlResult full = gp.negative_lml(theta);
+  EXPECT_EQ(counter_value("gp.lml_evals") - evals0, 2);
+  EXPECT_EQ(counter_value("gp.lml_cache_hits") - hits0, 1);
+  // Now the entry carries the gradient and serves both kinds of request.
+  EXPECT_EQ(bits(gp.negative_lml_value(theta)), bits(value));
+  const GaussianProcess::LmlResult again = gp.negative_lml(theta);
+  EXPECT_EQ(counter_value("gp.lml_evals") - evals0, 2);
+  EXPECT_EQ(counter_value("gp.lml_cache_hits") - hits0, 3);
+  if (!was_enabled) registry.disable();
+
+  const GaussianProcess::LmlResult want = fresh.negative_lml(theta);
+  EXPECT_EQ(bits(full.value), bits(want.value));
+  ASSERT_EQ(full.grad.size(), want.grad.size());
+  for (std::size_t i = 0; i < want.grad.size(); ++i) {
+    EXPECT_EQ(bits(full.grad[i]), bits(want.grad[i])) << "hyper " << i;
+    EXPECT_EQ(bits(again.grad[i]), bits(want.grad[i])) << "hyper " << i;
+  }
+}
+
+/// Packed fitted hyperparameters [kernel log-hypers..., noise variance].
+math::Vec fitted(const GaussianProcess& gp) {
+  math::Vec out = gp.kernel().hyperparams();
+  out.push_back(gp.noise_variance());
+  return out;
+}
+
+TEST(LmlMemo, InterleavedGpsMatchSoloRuns) {
+  // Likelihood scratch belongs to one evaluation or one hyperopt round, so
+  // two models (here a GP and its copy, on different data) evaluated and
+  // fitted in turn give exactly what each gives alone.
+  constexpr std::size_t kDim = 4;
+  util::Rng rng(39);
+  const math::Matrix xa = random_inputs(12, kDim, rng);
+  const math::Matrix xb = random_inputs(15, kDim, rng);
+  math::Vec ya(12), yb(15);
+  for (std::size_t i = 0; i < 12; ++i)
+    ya[i] = std::sin(4.0 * xa(i, 0)) + xa(i, 3);
+  for (std::size_t i = 0; i < 15; ++i) yb[i] = xb(i, 1) * xb(i, 2) - xb(i, 0);
+  GaussianProcess proto(std::make_unique<SquaredExponentialArd>(kDim));
+  proto.refit(xa, ya);
+  std::vector<math::Vec> thetas;
+  for (int r = 0; r < 5; ++r) {
+    math::Vec theta(kDim + 2);
+    for (double& v : theta) v = rng.uniform(-2.0, 1.0);
+    thetas.push_back(theta);
+  }
+
+  const auto make_b = [&] {
+    GaussianProcess b(proto);
+    b.refit(xb, yb);
+    return b;
+  };
+  // Solo: all of A, then all of B.
+  std::vector<GaussianProcess::LmlResult> solo_a, solo_b;
+  {
+    GaussianProcess a(proto);
+    for (const auto& t : thetas) solo_a.push_back(a.negative_lml(t));
+    GaussianProcess b = make_b();
+    for (const auto& t : thetas) solo_b.push_back(b.negative_lml(t));
+  }
+  // Interleaved: A and B alternate, value-only requests in between.
+  GaussianProcess a(proto);
+  GaussianProcess b = make_b();
+  for (std::size_t r = 0; r < thetas.size(); ++r) {
+    b.negative_lml_value(thetas[(r + 1) % thetas.size()]);
+    const auto ra = a.negative_lml(thetas[r]);
+    a.negative_lml_value(thetas[(r + 2) % thetas.size()]);
+    const auto rb = b.negative_lml(thetas[r]);
+    EXPECT_EQ(bits(ra.value), bits(solo_a[r].value)) << "theta " << r;
+    EXPECT_EQ(bits(rb.value), bits(solo_b[r].value)) << "theta " << r;
+    for (std::size_t i = 0; i < ra.grad.size(); ++i) {
+      EXPECT_EQ(bits(ra.grad[i]), bits(solo_a[r].grad[i])) << "theta " << r;
+      EXPECT_EQ(bits(rb.grad[i]), bits(solo_b[r].grad[i])) << "theta " << r;
+    }
+  }
+
+  // Fits: each model's own rng stream, alone vs alternating over a growing
+  // training set.
+  const auto prefix = [](const math::Matrix& x, std::size_t n) {
+    math::Matrix out(n, x.cols());
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t d = 0; d < x.cols(); ++d) out(i, d) = x(i, d);
+    return out;
+  };
+  std::vector<math::Vec> fit_a, fit_b;
+  {
+    GaussianProcess sa(proto), sb(proto);
+    util::Rng ra(1), rb(2);
+    for (std::size_t n = 3; n <= 6; ++n) {
+      sa.fit(prefix(xa, n), std::span(ya).subspan(0, n), ra);
+      fit_a.push_back(fitted(sa));
+    }
+    for (std::size_t n = 3; n <= 6; ++n) {
+      sb.fit(prefix(xb, n), std::span(yb).subspan(0, n), rb);
+      fit_b.push_back(fitted(sb));
+    }
+  }
+  GaussianProcess fa(proto), fb(proto);
+  util::Rng ra(1), rb(2);
+  for (std::size_t n = 3; n <= 6; ++n) {
+    fb.fit(prefix(xb, n), std::span(yb).subspan(0, n), rb);
+    fa.fit(prefix(xa, n), std::span(ya).subspan(0, n), ra);
+    const math::Vec got_a = fitted(fa), got_b = fitted(fb);
+    for (std::size_t i = 0; i < got_a.size(); ++i) {
+      EXPECT_EQ(bits(got_a[i]), bits(fit_a[n - 3][i])) << "n=" << n;
+      EXPECT_EQ(bits(got_b[i]), bits(fit_b[n - 3][i])) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace
