@@ -27,7 +27,6 @@
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
 //                         [--reps=N] [--threads=K] [--rff-features=M]
-//                         [--lml-only]
 #include <time.h>
 
 #include <algorithm>
@@ -541,17 +540,6 @@ int main(int argc, char** argv) {
       "threads",
       std::max(2u, std::thread::hardware_concurrency())));
   const std::string out_path = args.get("out", "BENCH_inner_loop.json");
-  if (args.has("lml-only")) {
-    util::JsonObject doc;
-    doc["bench"] = "inner_loop";
-    const bool ok = lml_section(reps, doc);
-    util::write_file_atomic(
-        out_path, util::dump_json(util::JsonValue(std::move(doc)), 2) + "\n");
-    std::cout << "wrote " << out_path << "\n";
-    if (!ok)
-      std::cerr << "FAIL: fitted hyperparameters differ from the reference\n";
-    return ok ? 0 : 1;
-  }
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{16, 64, 256}

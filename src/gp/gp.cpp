@@ -52,33 +52,24 @@ constexpr double kLog2Pi = 1.8378770664093454836;
   }
 }
 
-/// out[r] = sum_p w[p] * (s[p] * rows[r * n + p]) over p in [0, n), each
-/// sum in ascending p from 0.0; the kRows chains run interleaved.
+/// out[r] = sum_p w[p] * (s[p] * u_r[p]) over p in [0, n), with
+/// u_r[p] = scaled_sq(diffs[r * n + p], l[r]) formed as eval_pairs forms
+/// it; each sum in ascending p from 0.0, the kRows chains interleaved.
 template <std::size_t kRows>
-void weighted_row_sums(const double* w, const double* s, const double* rows,
-                       std::size_t n, double* out) {
+void weighted_row_sums(const double* w, const double* s, const double* diffs,
+                       const double* l, std::size_t n, double* out) {
   double acc[kRows] = {};
   for (std::size_t p = 0; p < n; ++p) {
     const double wp = w[p];
     const double sp = s[p];
     for (std::size_t r = 0; r < kRows; ++r)
-      acc[r] += wp * (sp * rows[r * n + p]);
+      acc[r] += wp * (sp * scaled_sq(diffs[r * n + p], l[r]));
   }
   for (std::size_t r = 0; r < kRows; ++r) out[r] = acc[r];
 }
 
 /// Rows per interleaved block of the gradient sums.
 constexpr std::size_t kRowBlock = 8;
-
-/// weighted_row_sums over the last `rows` < kRowBlock rows, all interleaved.
-template <std::size_t kRows = kRowBlock - 1>
-void weighted_row_tail(std::size_t rows, const double* w, const double* s,
-                       const double* terms, std::size_t n, double* out) {
-  if constexpr (kRows > 0) {
-    if (rows == kRows) return weighted_row_sums<kRows>(w, s, terms, n, out);
-    weighted_row_tail<kRows - 1>(rows, w, s, terms, n, out);
-  }
-}
 
 void clamp_to_bounds(std::span<double> x, std::span<const double> lo,
                      std::span<const double> hi) {
@@ -132,8 +123,7 @@ struct GaussianProcess::LmlWorkspace {
   math::Vec diffs;    // x_i[d] - x_j[d] at [d * pairs + p]
   math::Vec hypers;   // exp() of the packed kernel log-hypers
   math::Vec value;    // k per pair
-  math::Vec terms;    // u_d = ((x_i[d] - x_j[d]) / l_d)^2 at [d * pairs + p]
-  math::Vec coeff;    // d k / d log l_d = coeff[p] * u_d
+  math::Vec coeff;    // d k / d log l_d = coeff[p] * scaled_sq(diff, l_d)
   math::Vec weight;   // per-pair gradient weight -1/2 (2 - [i == j]) W_ij
   math::Vec kinv;     // one row of K^{-1}
   math::Matrix gram;
@@ -147,7 +137,6 @@ GaussianProcess::LmlWorkspace::LmlWorkspace(const math::Matrix& x,
       diffs(x.cols() * pairs),
       hypers(n_kernel),
       value(pairs),
-      terms(x.cols() * pairs),
       coeff(pairs),
       weight(pairs),
       kinv(n),
@@ -195,18 +184,16 @@ double GaussianProcess::evaluate_nlml(std::span<const double> packed,
   }
   ADML_COUNT("gp.lml_evals", 1);
 
-  // Every pair's Gram entry (and, for a gradient, the factors of its
-  // dK/dtheta) in one batched kernel call at exp(packed), without touching
-  // kernel_.
+  // Every pair's Gram entry (and, for a gradient, the coefficient of its
+  // dK/dlog l_d) in one batched kernel call at exp(packed), without
+  // touching kernel_.
   const std::size_t n = ws.n;
   const std::size_t pairs = ws.pairs;
   for (std::size_t t = 0; t < n_kernel; ++t) ws.hypers[t] = std::exp(packed[t]);
   const double noise_var = std::exp(packed.back());
-  if (with_grad) {
-    ard().eval_pairs(ws.hypers, ws.diffs, ws.value, ws.terms, ws.coeff);
-  } else {
-    ard().eval_pairs(ws.hypers, ws.diffs, ws.value, {}, {});
-  }
+  ard().eval_pairs(ws.hypers, ws.diffs, ws.value,
+                   with_grad ? std::span<double>(ws.coeff)
+                             : std::span<double>());
   for (std::size_t i = 0, p = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j, ++p) {
       const double v = ws.value[p];
@@ -252,16 +239,20 @@ double GaussianProcess::evaluate_nlml(std::span<const double> packed,
       }
     }
     // Each component sums its pair terms weight * dK in ascending pair order;
-    // dK/dlog l_d = coeff * u_d, dK/dlog s^2 = k.
+    // dK/dlog l_d = coeff * u_d with u_d recomputed from the differences,
+    // dK/dlog s^2 = k.
     const std::size_t dim = n_kernel - 1;
     std::size_t d = 0;
     for (; d + kRowBlock <= dim; d += kRowBlock) {
       weighted_row_sums<kRowBlock>(ws.weight.data(), ws.coeff.data(),
-                                   ws.terms.data() + d * pairs, pairs,
-                                   &grad[d]);
+                                   ws.diffs.data() + d * pairs, &ws.hypers[d],
+                                   pairs, &grad[d]);
     }
-    weighted_row_tail(dim - d, ws.weight.data(), ws.coeff.data(),
-                      ws.terms.data() + d * pairs, pairs, &grad[d]);
+    for (; d < dim; ++d) {
+      weighted_row_sums<1>(ws.weight.data(), ws.coeff.data(),
+                           ws.diffs.data() + d * pairs, &ws.hypers[d], pairs,
+                           &grad[d]);
+    }
     double g_signal = 0.0;
     for (std::size_t p = 0; p < pairs; ++p)
       g_signal += ws.weight[p] * ws.value[p];

@@ -59,64 +59,37 @@ double ArdKernelBase::scaled_sq_dist(std::span<const double> a,
   if (a.size() != lengthscales_.size() || b.size() != lengthscales_.size())
     throw std::invalid_argument("kernel: input dimension mismatch");
   double s = 0.0;
-  for (std::size_t d = 0; d < lengthscales_.size(); ++d) {
-    const double diff = (a[d] - b[d]) / lengthscales_[d];
-    s += diff * diff;
-  }
+  for (std::size_t d = 0; d < lengthscales_.size(); ++d)
+    s += scaled_sq(a[d] - b[d], lengthscales_[d]);
   return s;
 }
 
 namespace {
-// The element-wise loops of eval_pairs over the pairs of one dimension.
-// The buffers never overlap. Kept out of line so that the __restrict
-// qualifiers survive and the blocks vectorize.
-
-/// r2[p] += (diff[p] / l)^2.
+/// r2[p] += scaled_sq(diff[p], l) over the pairs of one dimension. The
+/// buffers never overlap; kept out of line so that the __restrict
+/// qualifiers survive and the blocks vectorize.
 [[gnu::noinline]] void add_scaled_sq(const double* __restrict diff,
                                      double l, double* __restrict r2,
                                      std::size_t pairs) {
-  for_each_blocked(pairs, [=](std::size_t p) {
-    const double t = diff[p] / l;
-    r2[p] += t * t;
-  });
-}
-
-/// u[p] = (diff[p] / l)^2 and r2[p] += u[p].
-[[gnu::noinline]] void add_scaled_sq(const double* __restrict diff,
-                                     double l, double* __restrict r2,
-                                     double* __restrict u,
-                                     std::size_t pairs) {
-  for_each_blocked(pairs, [=](std::size_t p) {
-    const double t = diff[p] / l;
-    u[p] = t * t;
-    r2[p] += u[p];
-  });
+  for_each_blocked(pairs,
+                   [=](std::size_t p) { r2[p] += scaled_sq(diff[p], l); });
 }
 }  // namespace
 
 void ArdKernelBase::eval_pairs(std::span<const double> hypers,
                                std::span<const double> diffs,
                                std::span<double> value,
-                               std::span<double> terms,
                                std::span<double> coeff) const {
   const std::size_t dim = lengthscales_.size();
   const std::size_t pairs = value.size();
-  const bool with_grad = !terms.empty() || !coeff.empty();
   if (hypers.size() != dim + 1 || diffs.size() != dim * pairs ||
-      (with_grad && (terms.size() != dim * pairs || coeff.size() != pairs)))
+      (!coeff.empty() && coeff.size() != pairs))
     throw std::invalid_argument("kernel: eval_pairs size mismatch");
   // Same per-pair operations as scaled_sq_dist, dimension by dimension:
   // each pair still sums its u_d from 0.0 in ascending d.
   std::fill(value.begin(), value.end(), 0.0);
-  for (std::size_t d = 0; d < dim; ++d) {
-    const double* diff = diffs.data() + d * pairs;
-    if (with_grad) {
-      add_scaled_sq(diff, hypers[d], value.data(), terms.data() + d * pairs,
-                    pairs);
-    } else {
-      add_scaled_sq(diff, hypers[d], value.data(), pairs);
-    }
-  }
+  for (std::size_t d = 0; d < dim; ++d)
+    add_scaled_sq(diffs.data() + d * pairs, hypers[d], value.data(), pairs);
   radial(hypers[dim], value, coeff);
 }
 
@@ -133,9 +106,10 @@ double ArdKernelBase::eval_with_grad(std::span<const double> a,
   math::Vec diffs(dim);
   for (std::size_t d = 0; d < dim; ++d) diffs[d] = a[d] - b[d];
   double k = 0.0, coeff = 0.0;
-  eval_pairs(hypers, diffs, std::span<double>(&k, 1), grad_out.first(dim),
+  eval_pairs(hypers, diffs, std::span<double>(&k, 1),
              std::span<double>(&coeff, 1));
-  for (std::size_t d = 0; d < dim; ++d) grad_out[d] = coeff * grad_out[d];
+  for (std::size_t d = 0; d < dim; ++d)
+    grad_out[d] = coeff * scaled_sq(diffs[d], hypers[d]);
   grad_out[dim] = k;
   return k;
 }

@@ -14,6 +14,14 @@
 
 namespace autodml::gp {
 
+/// u = ((a_d - b_d) / l_d)^2, one dimension's term of an ARD kernel's r^2
+/// and the factor of d k / d log l_d. Every path that forms it calls this
+/// function, so each gets the same bits.
+inline double scaled_sq(double diff, double l) {
+  const double t = diff / l;
+  return t * t;
+}
+
 class Kernel {
  public:
   virtual ~Kernel() = default;
@@ -48,26 +56,25 @@ class ArdKernelBase : public Kernel {
   void set_hyperparams(std::span<const double> log_theta) override;
   std::pair<math::Vec, math::Vec> hyper_bounds() const override;
 
-  /// k and its log-hyperparameter derivatives for many input pairs in one
-  /// call, at the hyperparameters `hypers` (linear space: [l_1..l_D, s^2],
-  /// exp() of each hyperparams() entry) instead of the kernel's own, so a
+  /// k and its gradient coefficient for many input pairs in one call, at
+  /// the hyperparameters `hypers` (linear space: [l_1..l_D, s^2], exp() of
+  /// each hyperparams() entry) instead of the kernel's own, so a
   /// marginal-likelihood evaluation needs no kernel copy. With
   /// pairs = value.size():
   ///   - diffs[d * pairs + p] = a_p[d] - b_p[d] (dimension-major);
   ///   - value[p] receives k(a_p, b_p);
-  ///   - unless `terms` and `coeff` are empty, terms[d * pairs + p]
-  ///     receives u_d = ((a_p[d] - b_p[d]) / l_d)^2 and coeff[p] the
-  ///     profile's gradient coefficient c, so that
-  ///     d k / d log l_d = coeff[p] * terms[d * pairs + p] and
+  ///   - unless `coeff` is empty, coeff[p] receives the profile's gradient
+  ///     coefficient c, so that d k / d log l_d =
+  ///     coeff[p] * scaled_sq(diffs[d * pairs + p], l_d) and
   ///     d k / d log s^2 = value[p].
-  /// r^2 = sum_d u_d is accumulated over d in ascending order with all
-  /// pairs advancing together, and the radial profile maps it to k and c.
-  /// Allocates nothing. Each value, and each product coeff * term, is
-  /// bitwise what eval() and grad_hyper() give for that pair at the same
-  /// hyperparameters.
+  /// r^2 = sum_d scaled_sq(diff, l_d) is accumulated over d in ascending
+  /// order with all pairs advancing together, and the radial profile maps
+  /// it to k and c. Allocates nothing. Each value, and each product of c
+  /// with a term, is bitwise what eval() and grad_hyper() give for that
+  /// pair at the same hyperparameters.
   void eval_pairs(std::span<const double> hypers,
                   std::span<const double> diffs, std::span<double> value,
-                  std::span<double> terms, std::span<double> coeff) const;
+                  std::span<double> coeff) const;
 
   /// k(a,b) and d k(a,b) / d log theta_t into `grad_out` (size
   /// num_hyperparams()): eval_pairs() on one pair at the current
@@ -87,7 +94,7 @@ class ArdKernelBase : public Kernel {
   math::Vec inverse_lengthscales() const;
 
  protected:
-  /// r^2 = sum_d ((a_d - b_d) / l_d)^2, accumulated in dimension order.
+  /// r^2 = sum_d scaled_sq(a_d - b_d, l_d), accumulated in dimension order.
   double scaled_sq_dist(std::span<const double> a,
                         std::span<const double> b) const;
 

@@ -551,9 +551,9 @@ TYPED_TEST(LmlBitwiseTest, BatchedFillMatchesPerPairEvalAndReferenceDk) {
       const math::Vec diffs = pair_diffs(x);
       const std::size_t pairs = n * (n + 1) / 2;
       math::Vec value(pairs), value_only(pairs);
-      math::Vec terms(dim * pairs, -1.0), coeff(pairs, -1.0);
-      k.eval_pairs(hypers, diffs, value, terms, coeff);
-      k.eval_pairs(hypers, diffs, value_only, {}, {});
+      math::Vec coeff(pairs, -1.0);
+      k.eval_pairs(hypers, diffs, value, coeff);
+      k.eval_pairs(hypers, diffs, value_only, {});
       for (std::size_t i = 0, p = 0; i < n; ++i) {
         for (std::size_t j = 0; j <= i; ++j, ++p) {
           const double want = k.eval(x.row(i), x.row(j));
@@ -563,7 +563,8 @@ TYPED_TEST(LmlBitwiseTest, BatchedFillMatchesPerPairEvalAndReferenceDk) {
           // dK: coeff * u_d per lengthscale, k for the signal variance.
           const math::Vec grad = reference_grad(k, x.row(i), x.row(j));
           for (std::size_t d = 0; d < dim; ++d) {
-            EXPECT_EQ(bits(coeff[p] * terms[d * pairs + p]), bits(grad[d]))
+            const double u = scaled_sq(diffs[d * pairs + p], hypers[d]);
+            EXPECT_EQ(bits(coeff[p] * u), bits(grad[d]))
                 << "d=" << dim << " n=" << n << " pair " << p << " dim " << d;
           }
           EXPECT_EQ(bits(value[p]), bits(grad[dim])) << "pair " << p;
@@ -572,13 +573,12 @@ TYPED_TEST(LmlBitwiseTest, BatchedFillMatchesPerPairEvalAndReferenceDk) {
     }
   }
   TypeParam k(2);
-  math::Vec value(3), coeff(3), short_terms(5);
-  EXPECT_THROW(
-      k.eval_pairs(math::Vec(3, 1.0), math::Vec(5, 0.0), value, {}, {}),
-      std::invalid_argument);
-  EXPECT_THROW(k.eval_pairs(math::Vec(3, 1.0), math::Vec(6, 0.0), value,
-                            short_terms, coeff),
+  math::Vec value(3), short_coeff(2);
+  EXPECT_THROW(k.eval_pairs(math::Vec(3, 1.0), math::Vec(5, 0.0), value, {}),
                std::invalid_argument);
+  EXPECT_THROW(
+      k.eval_pairs(math::Vec(3, 1.0), math::Vec(6, 0.0), value, short_coeff),
+      std::invalid_argument);
 }
 
 /// Value-only evaluation on a fresh copy of `gp` against the gradient
