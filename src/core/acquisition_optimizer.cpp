@@ -22,17 +22,24 @@ std::set<math::Vec> encode_history(const conf::ConfigSpace& space,
   return seen;
 }
 
-/// Score every candidate, serially or chunked across the pool. Writes into
-/// per-index slots so the result is independent of scheduling order.
+/// Score `count` candidates from their encodings (row-major in `rows`),
+/// serially or chunked across the pool; each range goes through one
+/// score_batch call. Writes into per-index slots so the result is
+/// independent of scheduling order.
 std::vector<double> score_candidates(const SurrogateModel& surrogate,
                                      AcquisitionKind kind,
-                                     std::span<const conf::Config> candidates,
+                                     std::span<const double> rows,
+                                     std::size_t count,
                                      const AcqOptimizerOptions& options) {
   ADML_SPAN("acq.score");
-  std::vector<double> scores(candidates.size());
+  const std::size_t dim = surrogate.space().encoded_dimension();
+  std::vector<double> scores(count);
   const auto score_range = [&](std::size_t begin, std::size_t end) {
+    std::vector<SurrogateScore> posterior(end - begin);
+    surrogate.score_batch(rows.subspan(begin * dim, (end - begin) * dim),
+                          posterior);
     for (std::size_t i = begin; i < end; ++i) {
-      const SurrogateScore s = surrogate.score(candidates[i]);
+      const SurrogateScore& s = posterior[i - begin];
       AcquisitionInputs in;
       in.mean = s.mean;
       in.variance = s.variance;
@@ -43,9 +50,8 @@ std::vector<double> score_candidates(const SurrogateModel& surrogate,
       scores[i] = score_acquisition(kind, in);
     }
   };
-  if (options.pool == nullptr || options.pool->size() < 2 ||
-      candidates.size() < 2) {
-    score_range(0, candidates.size());
+  if (options.pool == nullptr || options.pool->size() < 2 || count < 2) {
+    score_range(0, count);
     return scores;
   }
   // Lock discipline: the workers share no guarded state — each chunk
@@ -55,13 +61,12 @@ std::vector<double> score_candidates(const SurrogateModel& surrogate,
   // synchronization. Oversplit relative to the thread count so a slow
   // chunk (e.g. one hitting the feasibility GP) does not serialize the
   // tail.
-  const std::size_t chunks =
-      std::min(candidates.size(), options.pool->size() * 4);
-  const std::size_t per_chunk = (candidates.size() + chunks - 1) / chunks;
+  const std::size_t chunks = std::min(count, options.pool->size() * 4);
+  const std::size_t per_chunk = (count + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
-  for (std::size_t begin = 0; begin < candidates.size(); begin += per_chunk) {
-    const std::size_t end = std::min(begin + per_chunk, candidates.size());
+  for (std::size_t begin = 0; begin < count; begin += per_chunk) {
+    const std::size_t end = std::min(begin + per_chunk, count);
     futures.push_back(
         options.pool->submit([&score_range, begin, end] {
           // One span per chunk, emitted from the worker thread: the trace
@@ -115,14 +120,20 @@ std::optional<conf::Config> propose_candidate(
     }
   }
 
-  // Dedup serially in generation order (against the history and within the
-  // pool), then score the survivors — concurrently when a pool is supplied.
+  // Encode each candidate once and dedup serially in generation order
+  // (against the history and within the pool), keeping the survivors'
+  // encodings for scoring — concurrently when a pool is supplied.
   std::vector<conf::Config> unique;
   unique.reserve(candidates.size());
+  math::Vec rows;  // the survivors' encodings, row-major
+  rows.reserve(candidates.size() * space.encoded_dimension());
   std::set<math::Vec> pooled;  // dedup within the pool too
   for (auto& candidate : candidates) {
     math::Vec x = space.encode(candidate);
-    if (seen.count(x) || !pooled.insert(std::move(x)).second) continue;
+    if (seen.count(x)) continue;
+    const auto [it, inserted] = pooled.insert(std::move(x));
+    if (!inserted) continue;
+    rows.insert(rows.end(), it->begin(), it->end());
     unique.push_back(std::move(candidate));
   }
   ADML_COUNT("acq.candidates_generated",
@@ -130,7 +141,7 @@ std::optional<conf::Config> propose_candidate(
   ADML_COUNT("acq.candidates_scored",
              static_cast<std::int64_t>(unique.size()));
   const std::vector<double> scores =
-      score_candidates(surrogate, kind, unique, options);
+      score_candidates(surrogate, kind, rows, unique.size(), options);
 
   // Lowest-index argmax: the strict `>` keeps the earliest of tied scores,
   // matching the serial reduction regardless of thread count.

@@ -330,6 +330,29 @@ SurrogateScore SurrogateModel::score(const conf::Config& config) const {
   return out;
 }
 
+void SurrogateModel::score_batch(std::span<const double> xs,
+                                 std::span<SurrogateScore> out) const {
+  if (!ready()) throw std::logic_error("SurrogateModel: not ready");
+  std::vector<gp::GpPrediction> pred(out.size());
+  objective_gp_->predict_batch(xs, pred, /*with_variance=*/true);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].mean = pred[i].mean;
+    out[i].variance = pred[i].variance;
+  }
+  const bool feasibility = feasibility_gp_ && feasibility_gp_->is_fitted();
+  if (feasibility) feasibility_gp_->predict_batch(xs, pred, false);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].prob_feasible =
+        std::clamp(feasibility ? 1.0 - pred[i].mean : feasible_fraction_,
+                   0.02, 1.0);
+  }
+  const bool cost = cost_gp_ && cost_gp_->is_fitted();
+  if (cost) cost_gp_->predict_batch(xs, pred, false);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].log_cost = cost ? pred[i].mean : 0.0;
+  }
+}
+
 math::Vec SurrogateModel::ard_relevance() const {
   if (!ready()) return {};
   const auto* ard =

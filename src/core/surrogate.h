@@ -96,6 +96,13 @@ class SurrogateModel {
   /// Posterior at a configuration. Requires ready().
   SurrogateScore score(const conf::Config& config) const;
 
+  /// score() at out.size() configurations given by their encodings,
+  /// row-major in `xs` (out.size() rows of space().encoded_dimension()),
+  /// bit for bit, through each model's predict_batch. The feasibility and
+  /// cost models predict means only. Requires ready().
+  void score_batch(std::span<const double> xs,
+                   std::span<SurrogateScore> out) const;
+
   /// Best (lowest) observed log objective. Requires ready().
   double incumbent_log() const { return incumbent_log_; }
 

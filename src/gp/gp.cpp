@@ -68,6 +68,35 @@ void weighted_row_sums(const double* w, const double* s, const double* diffs,
   for (std::size_t r = 0; r < kRows; ++r) out[r] = acc[r];
 }
 
+/// out[c] += k[c] * a over the m points of one training row: a block's
+/// dot(k*, alpha), each point's sum in ascending row order.
+[[gnu::noinline]] void add_scaled_row(const double* __restrict k, double a,
+                                      double* __restrict out, std::size_t m) {
+  for_each_blocked(m, [=](std::size_t c) { out[c] += k[c] * a; });
+}
+
+/// Row i of the forward substitution L V = K* for m points at once, in
+/// place on `out` (row i of K*): subtracts L(i,j) V(j,c) in ascending j
+/// over the solved rows 0..i-1 of `solved` (row stride m), divides by
+/// L(i,i), then adds V(i,c)^2 to sq[c]. Each point's entry takes
+/// solve_lower's and dot(v, v)'s operations in their order.
+[[gnu::noinline]] void forward_row(const double* __restrict l_i,
+                                   const double* __restrict solved,
+                                   std::size_t i, std::size_t m,
+                                   double* __restrict out,
+                                   double* __restrict sq) {
+  for (std::size_t j = 0; j < i; ++j) {
+    const double a = l_i[j];
+    const double* v_j = solved + j * m;
+    for_each_blocked(m, [=](std::size_t c) { out[c] -= a * v_j[c]; });
+  }
+  const double pivot = l_i[i];
+  for_each_blocked(m, [=](std::size_t c) {
+    out[c] = out[c] / pivot;
+    sq[c] += out[c] * out[c];
+  });
+}
+
 /// Rows per interleaved block of the gradient sums.
 constexpr std::size_t kRowBlock = 8;
 
@@ -125,6 +154,7 @@ struct GaussianProcess::LmlWorkspace {
   math::Vec value;    // k per pair
   math::Vec coeff;    // d k / d log l_d = coeff[p] * scaled_sq(diff, l_d)
   math::Vec weight;   // per-pair gradient weight -1/2 (2 - [i == j]) W_ij
+  math::Vec alpha;    // K^{-1} y
   math::Vec kinv;     // one row of K^{-1}
   math::Matrix gram;
   math::Matrix linv;  // L^{-1}, lower triangle
@@ -139,6 +169,7 @@ GaussianProcess::LmlWorkspace::LmlWorkspace(const math::Matrix& x,
       value(pairs),
       coeff(pairs),
       weight(pairs),
+      alpha(n),
       kinv(n),
       gram(n, n),
       linv(n, n) {
@@ -214,7 +245,9 @@ double GaussianProcess::evaluate_nlml(std::span<const double> packed,
     std::fill(grad.begin(), grad.end(), 0.0);
     return 1e100;  // reject this hyperparameter point
   }
-  const math::Vec alpha = factor.solve(targets_std_);
+  math::Vec& alpha = ws.alpha;
+  std::copy(targets_std_.begin(), targets_std_.end(), alpha.begin());
+  factor.solve_in_place(alpha);
   const double fit_term = 0.5 * math::dot(targets_std_, alpha);
   const double lml = -fit_term - 0.5 * factor.log_det() -
                      0.5 * static_cast<double>(n) * kLog2Pi;
@@ -511,6 +544,54 @@ GpPrediction GaussianProcess::predict(std::span<const double> x) const {
   out.mean = mean_std * y_scale_ + y_mean_;
   out.variance = var_std * y_scale_ * y_scale_;
   return out;
+}
+
+void GaussianProcess::predict_batch(std::span<const double> xs,
+                                    std::span<GpPrediction> out,
+                                    bool with_variance) const {
+  if (!factor_) throw std::logic_error("GaussianProcess: predict before fit");
+  const std::size_t dim = x_.cols();
+  if (xs.size() != out.size() * dim)
+    throw std::invalid_argument("GaussianProcess: predict_batch size mismatch");
+  math::check_finite(xs, "GP prediction input");
+  const std::size_t n = targets_std_.size();
+  const std::size_t block = std::min(kPredictBlock, out.size());
+  math::Vec ct(dim * block);     // the block's points, dimension-major
+  math::Vec cross(n * block);    // k(x_i, c) at [i * m + c], then L^{-1} k*
+  math::Vec mean(block), sq(block);
+  const double* l = factor_->lower.data().data();
+  for (std::size_t b = 0; b < out.size(); b += block) {
+    const std::size_t m = std::min(block, out.size() - b);
+    const double* pts = xs.data() + b * dim;
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t d = 0; d < dim; ++d) ct[d * m + c] = pts[c * dim + d];
+    }
+    const std::span<double> k_star(cross.data(), n * m);
+    ard().eval_cross(x_.data(), std::span<const double>(ct.data(), dim * m),
+                     m, k_star);
+    math::check_finite(k_star, "GP cross-covariance");
+    std::fill_n(mean.begin(), m, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      add_scaled_row(k_star.data() + i * m, alpha_[i], mean.data(), m);
+    if (with_variance) {
+      std::fill_n(sq.begin(), m, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        forward_row(l + i * n, k_star.data(), i, m, k_star.data() + i * m,
+                    sq.data());
+      }
+    }
+    for (std::size_t c = 0; c < m; ++c) {
+      GpPrediction& o = out[b + c];
+      o.mean = mean[c] * y_scale_ + y_mean_;
+      o.variance = 0.0;
+      if (with_variance) {
+        const std::span<const double> point(pts + c * dim, dim);
+        const double var_std =
+            std::max(0.0, kernel_->eval(point, point) - sq[c]);
+        o.variance = var_std * y_scale_ * y_scale_;
+      }
+    }
+  }
 }
 
 double GaussianProcess::log_marginal_likelihood() const {

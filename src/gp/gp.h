@@ -70,6 +70,17 @@ class GaussianProcess final : public Regressor {
 
   GpPrediction predict(std::span<const double> x) const override;
 
+  /// Points per block of predict_batch: its scratch holds O(block * n)
+  /// doubles.
+  static constexpr std::size_t kPredictBlock = 32;
+
+  /// Blocks of kPredictBlock points: k(x_i, c) for the whole block in one
+  /// dimension-major pass (ArdKernelBase::eval_cross), then per point the
+  /// mean dot(k*, alpha) and, with the variance, the forward substitution
+  /// L v = k*, every point's entries in predict()'s order.
+  void predict_batch(std::span<const double> xs, std::span<GpPrediction> out,
+                     bool with_variance) const override;
+
   /// Log marginal likelihood of the current fit (standardized target units).
   double log_marginal_likelihood() const override;
 

@@ -74,6 +74,15 @@ namespace {
   for_each_blocked(pairs,
                    [=](std::size_t p) { r2[p] += scaled_sq(diff[p], l); });
 }
+
+/// r2[c] += scaled_sq(a - b[c], l) over the m points of one dimension.
+[[gnu::noinline]] void add_scaled_sq_from(double a,
+                                          const double* __restrict b,
+                                          double l, double* __restrict r2,
+                                          std::size_t m) {
+  for_each_blocked(m,
+                   [=](std::size_t c) { r2[c] += scaled_sq(a - b[c], l); });
+}
 }  // namespace
 
 void ArdKernelBase::eval_pairs(std::span<const double> hypers,
@@ -91,6 +100,25 @@ void ArdKernelBase::eval_pairs(std::span<const double> hypers,
   for (std::size_t d = 0; d < dim; ++d)
     add_scaled_sq(diffs.data() + d * pairs, hypers[d], value.data(), pairs);
   radial(hypers[dim], value, coeff);
+}
+
+void ArdKernelBase::eval_cross(std::span<const double> x,
+                               std::span<const double> ct, std::size_t m,
+                               std::span<double> value) const {
+  const std::size_t dim = lengthscales_.size();
+  const std::size_t rows = m == 0 ? 0 : value.size() / m;
+  if (ct.size() != dim * m || rows * m != value.size() ||
+      x.size() != rows * dim)
+    throw std::invalid_argument("kernel: eval_cross size mismatch");
+  // Each pair sums its u_d from 0.0 in ascending d, as scaled_sq_dist does.
+  std::fill(value.begin(), value.end(), 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      add_scaled_sq_from(x[i * dim + d], ct.data() + d * m, lengthscales_[d],
+                         value.data() + i * m, m);
+    }
+  }
+  radial(signal_variance_, value, {});
 }
 
 double ArdKernelBase::eval_with_grad(std::span<const double> a,

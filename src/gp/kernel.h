@@ -76,6 +76,15 @@ class ArdKernelBase : public Kernel {
                   std::span<const double> diffs, std::span<double> value,
                   std::span<double> coeff) const;
 
+  /// k(x_i, c) at the kernel's own hyperparameters for every pair of a
+  /// row x_i of `x` (row-major, value.size() / m rows) and one of m points
+  /// c, given dimension-major in `ct` (ct[d * m + c] = c[d]):
+  /// value[i * m + c] receives k(x_i, c). Same per-pair operations as
+  /// eval_pairs, with the difference x_i[d] - c[d] formed on the fly, so
+  /// each value is bitwise eval(x_i, c). Allocates nothing.
+  void eval_cross(std::span<const double> x, std::span<const double> ct,
+                  std::size_t m, std::span<double> value) const;
+
   /// k(a,b) and d k(a,b) / d log theta_t into `grad_out` (size
   /// num_hyperparams()): eval_pairs() on one pair at the current
   /// hyperparameters.

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 
+#include "gp/kernel.h"
 #include "math/matrix.h"
 #include "util/rng.h"
 
 namespace autodml::gp {
-
-class Kernel;
 
 struct GpPrediction {
   double mean = 0.0;
@@ -51,6 +51,14 @@ class Regressor {
 
   virtual GpPrediction predict(std::span<const double> x) const = 0;
 
+  /// predict() at each of out.size() points, stored row-major in `xs`
+  /// (out.size() rows of the kernel's input dimension), bit for bit. With
+  /// `with_variance = false` only the means are computed and every
+  /// out[i].variance is 0. The default calls predict() point by point.
+  virtual void predict_batch(std::span<const double> xs,
+                             std::span<GpPrediction> out,
+                             bool with_variance) const;
+
   /// Log marginal likelihood of the current fit (standardized target
   /// units; for approximate backends, of the approximate model).
   virtual double log_marginal_likelihood() const = 0;
@@ -66,5 +74,17 @@ class Regressor {
   /// Static-lifetime backend tag for metrics and span args.
   virtual const char* backend_name() const = 0;
 };
+
+inline void Regressor::predict_batch(std::span<const double> xs,
+                                     std::span<GpPrediction> out,
+                                     bool with_variance) const {
+  const std::size_t dim = kernel().input_dim();
+  if (xs.size() != out.size() * dim)
+    throw std::invalid_argument("predict_batch: size mismatch");
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = predict(xs.subspan(i * dim, dim));
+    if (!with_variance) out[i].variance = 0.0;
+  }
+}
 
 }  // namespace autodml::gp

@@ -10,33 +10,54 @@
 
 namespace autodml::math {
 
-Vec CholeskyFactor::solve_lower(std::span<const double> b) const {
+namespace {
+
+/// L y = b, overwriting b (held in `v`) with y.
+void solve_lower_in_place(const Matrix& lower, std::span<double> v) {
   const std::size_t n = lower.rows();
-  if (b.size() != n) throw std::invalid_argument("solve_lower: size mismatch");
-  Vec y(n, 0.0);
+  if (v.size() != n) throw std::invalid_argument("solve_lower: size mismatch");
+  const double* l = lower.data().data();
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lower(i, j) * y[j];
-    y[i] = acc / lower(i, i);
+    const double* l_i = l + i * n;
+    double acc = v[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= l_i[j] * v[j];
+    v[i] = acc / l_i[i];
   }
+}
+
+/// L^T x = y, overwriting y (held in `v`) with x. Entry i subtracts
+/// L(j, i) x[j] in ascending j, so it needs every x[j] with j > i first
+/// and reads L down column i; sweeping the rows of L instead would
+/// reverse that order.
+void solve_upper_in_place(const Matrix& lower, std::span<double> v) {
+  const std::size_t n = lower.rows();
+  if (v.size() != n) throw std::invalid_argument("solve_upper: size mismatch");
+  const double* l = lower.data().data();
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double acc = v[i];
+    for (std::size_t j = i + 1; j < n; ++j) acc -= l[j * n + i] * v[j];
+    v[i] = acc / l[i * n + i];
+  }
+}
+
+}  // namespace
+
+Vec CholeskyFactor::solve_lower(std::span<const double> b) const {
+  Vec y(b.begin(), b.end());
+  solve_lower_in_place(lower, y);
   return y;
 }
 
-Vec CholeskyFactor::solve_upper(std::span<const double> y) const {
-  const std::size_t n = lower.rows();
-  if (y.size() != n) throw std::invalid_argument("solve_upper: size mismatch");
-  Vec x(n, 0.0);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double acc = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) acc -= lower(j, i) * x[j];
-    x[i] = acc / lower(i, i);
-  }
+Vec CholeskyFactor::solve(std::span<const double> b) const {
+  Vec x(b.begin(), b.end());
+  solve_in_place(x);
   return x;
 }
 
-Vec CholeskyFactor::solve(std::span<const double> b) const {
-  return solve_upper(solve_lower(b));
+void CholeskyFactor::solve_in_place(std::span<double> v) const {
+  solve_lower_in_place(lower, v);
+  solve_upper_in_place(lower, v);
 }
 
 double CholeskyFactor::log_det() const {
@@ -259,7 +280,7 @@ CholeskyFactor cholesky_with_jitter(const Matrix& a, double initial_jitter,
                                     int max_tries) {
   std::size_t bad_pivot = 0;
   double bad_diag = 0.0;
-  if (auto f = cholesky_impl(a, &bad_pivot, &bad_diag)) return *f;
+  if (auto f = cholesky_impl(a, &bad_pivot, &bad_diag)) return std::move(*f);
   // Scale the jitter to the problem: use the mean diagonal magnitude.
   double mean_diag = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) mean_diag += std::abs(a(i, i));
@@ -272,7 +293,7 @@ CholeskyFactor cholesky_with_jitter(const Matrix& a, double initial_jitter,
     boosted.add_to_diagonal(jitter);
     if (auto f = cholesky_impl(boosted, &bad_pivot, &bad_diag)) {
       f->jitter = jitter;
-      return *f;
+      return std::move(*f);
     }
   }
   throw std::runtime_error(

@@ -35,10 +35,10 @@ struct CholeskyFactor {
 
   /// Solve L y = b.
   Vec solve_lower(std::span<const double> b) const;
-  /// Solve L^T x = y.
-  Vec solve_upper(std::span<const double> y) const;
   /// Solve (L L^T) x = b.
   Vec solve(std::span<const double> b) const;
+  /// solve(v) written over `v`, bit for bit, allocating nothing.
+  void solve_in_place(std::span<double> v) const;
   /// log det(L L^T) = 2 * sum log L_ii.
   double log_det() const;
 

@@ -158,7 +158,10 @@ OptResult adam(const GradObjective& f, std::span<const double> x0,
         break;
       }
     }
+    // Bias corrections of this step, shared by every coordinate.
     const double t = static_cast<double>(iter + 1);
+    const double m_correction = 1.0 - std::pow(options.beta1, t);
+    const double v_correction = 1.0 - std::pow(options.beta2, t);
     for (std::size_t i = 0; i < n; ++i) {
       // On an invalid evaluation the gradient contribution is zero: the
       // moments decay and the iterate coasts on momentum out of the bad
@@ -166,8 +169,8 @@ OptResult adam(const GradObjective& f, std::span<const double> x0,
       const double g = grad_valid ? grad[i] : 0.0;
       m[i] = options.beta1 * m[i] + (1.0 - options.beta1) * g;
       v[i] = options.beta2 * v[i] + (1.0 - options.beta2) * g * g;
-      const double m_hat = m[i] / (1.0 - std::pow(options.beta1, t));
-      const double v_hat = v[i] / (1.0 - std::pow(options.beta2, t));
+      const double m_hat = m[i] / m_correction;
+      const double v_hat = v[i] / v_correction;
       x[i] -= options.learning_rate * m_hat /
               (std::sqrt(v_hat) + options.epsilon);
     }

@@ -4,6 +4,9 @@
 #include <string>
 
 #include "core/surrogate.h"
+#include "gp/gp.h"
+#include "gp/kernel.h"
+#include "math/cholesky.h"
 #include "synthetic_objective.h"
 #include "util/chaos.h"
 
@@ -345,6 +348,183 @@ TEST(CostModelSkip, CostModelFitsOnlyWhenAsked) {
   without_cost.update(trials);
   EXPECT_NE(with_cost.score(trials[0].config).log_cost, 0.0);
   EXPECT_EQ(without_cost.score(trials[0].config).log_cost, 0.0);
+}
+
+// ---- score_batch / predict_batch against the per-point path, bit for bit --
+
+/// Batch sizes around the edge of predict_batch's block.
+std::vector<std::size_t> batch_sizes() {
+  constexpr std::size_t kBlock = gp::GaussianProcess::kPredictBlock;
+  return {1, kBlock - 1, kBlock, kBlock + 1};
+}
+
+/// `count` points in [0,1]^dim, row-major.
+math::Vec random_rows(std::size_t count, std::size_t dim, util::Rng& rng) {
+  math::Vec rows(count * dim);
+  for (double& v : rows) v = rng.uniform();
+  return rows;
+}
+
+/// predict_batch, with and without the variance, against predict() at every
+/// point, for each batch size.
+void expect_predict_batch_matches(const gp::Regressor& model, std::size_t dim,
+                                  util::Rng& rng, const std::string& where) {
+  for (const std::size_t count : batch_sizes()) {
+    const math::Vec rows = random_rows(count, dim, rng);
+    std::vector<gp::GpPrediction> full(count), means(count);
+    model.predict_batch(rows, full, /*with_variance=*/true);
+    model.predict_batch(rows, means, /*with_variance=*/false);
+    for (std::size_t c = 0; c < count; ++c) {
+      const gp::GpPrediction want = model.predict(
+          std::span<const double>(rows).subspan(c * dim, dim));
+      const std::string at = where + ", batch " + std::to_string(count) +
+                             ", point " + std::to_string(c);
+      ASSERT_EQ(full[c].mean, want.mean) << at;
+      ASSERT_EQ(full[c].variance, want.variance) << at;
+      ASSERT_EQ(means[c].mean, want.mean) << at;
+      ASSERT_EQ(means[c].variance, 0.0) << at;
+    }
+  }
+}
+
+template <typename K>
+void expect_gp_predict_batch_matches(const std::string& kernel) {
+  constexpr std::size_t kDim = 5;
+  util::Rng rng(41);
+  gp::GpOptions options;
+  options.adam_iterations = 20;
+  options.polish_iterations = 10;
+  for (const std::size_t n : {1u, 2u, 17u, 64u}) {
+    math::Matrix x(n, kDim);
+    math::Vec y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t d = 0; d < kDim; ++d) x(i, d) = rng.uniform();
+      y[i] = std::sin(4.0 * x(i, 0)) + x(i, 1) * x(i, 2) + 0.1 * rng.normal();
+    }
+    gp::GaussianProcess model(std::make_unique<K>(kDim), options);
+    model.fit(x, y, rng);  // hyperopt from n = 3 on
+    expect_predict_batch_matches(model, kDim, rng,
+                                 kernel + ", n " + std::to_string(n));
+  }
+}
+
+TEST(ScoreBatch, GpPredictBatchMatchesPredictForBothKernels) {
+  expect_gp_predict_batch_matches<gp::SquaredExponentialArd>("se");
+  expect_gp_predict_batch_matches<gp::Matern52Ard>("matern");
+}
+
+template <typename K>
+void expect_jittered_predict_batch_matches(const std::string& kernel) {
+  // Pairs of rows 1e-13 apart under long lengthscales and a noise variance
+  // below the Gram matrix's rounding: the factorization must add jitter.
+  constexpr std::size_t kDim = 2;
+  constexpr std::size_t kN = 17;
+  util::Rng rng(42);
+  math::Matrix x(kN, kDim);
+  math::Vec y(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t d = 0; d < kDim; ++d)
+      x(i, d) = 0.05 * static_cast<double>(i / 2 + d) + (i % 2) * 1e-13;
+    y[i] = rng.normal();
+  }
+  auto kernel_ptr = std::make_unique<K>(kDim);
+  kernel_ptr->set_hyperparams(
+      math::Vec{std::log(15.0), std::log(15.0), std::log(40.0)});
+  math::Matrix gram(kN, kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t j = 0; j < kN; ++j)
+      gram(i, j) = kernel_ptr->eval(x.row(i), x.row(j));
+    gram(i, i) += std::exp(std::log(1e-16));
+  }
+  ASSERT_GT(math::cholesky_with_jitter(gram).jitter, 0.0) << kernel;
+
+  gp::GpOptions options;
+  options.optimize_hyperparams = false;
+  options.initial_noise = 1e-16;
+  gp::GaussianProcess model(std::move(kernel_ptr), options);
+  model.fit(x, y, rng);
+  expect_predict_batch_matches(model, kDim, rng, kernel + ", jittered");
+}
+
+TEST(ScoreBatch, GpPredictBatchMatchesPredictOnAJitteredFactor) {
+  expect_jittered_predict_batch_matches<gp::SquaredExponentialArd>("se");
+  expect_jittered_predict_batch_matches<gp::Matern52Ard>("matern");
+}
+
+/// score_batch against score() at every probe, for each batch size.
+/// Returns the batch scores of the largest batch, for callers to check
+/// which models were live.
+std::vector<SurrogateScore> expect_score_batch_matches(
+    const SurrogateModel& model, util::Rng& rng, const std::string& where) {
+  const conf::ConfigSpace& space = model.space();
+  std::vector<SurrogateScore> got;
+  for (const std::size_t count : batch_sizes()) {
+    std::vector<conf::Config> probes;
+    math::Vec rows;
+    for (std::size_t c = 0; c < count; ++c) {
+      probes.push_back(space.sample_uniform(rng));
+      const math::Vec x = space.encode(probes.back());
+      rows.insert(rows.end(), x.begin(), x.end());
+    }
+    got.assign(count, SurrogateScore{});
+    model.score_batch(rows, got);
+    for (std::size_t c = 0; c < count; ++c) {
+      const SurrogateScore want = model.score(probes[c]);
+      const std::string at = where + ", batch " + std::to_string(count) +
+                             ", " + probes[c].to_string();
+      EXPECT_EQ(got[c].mean, want.mean) << at;
+      EXPECT_EQ(got[c].variance, want.variance) << at;
+      EXPECT_EQ(got[c].prob_feasible, want.prob_feasible) << at;
+      EXPECT_EQ(got[c].log_cost, want.log_cost) << at;
+    }
+  }
+  return got;
+}
+
+TEST(ScoreBatch, MatchesScoreWithAndWithoutFeasibilityAndCostModels) {
+  SyntheticObjective objective;
+  for (const SurrogateBackend backend :
+       {SurrogateBackend::kExact, SurrogateBackend::kRff}) {
+    for (const bool failures : {false, true}) {
+      for (const bool cost : {false, true}) {
+        for (const int n : {2, 17, 64}) {
+          const std::string where =
+              std::string(backend == SurrogateBackend::kRff ? "rff" : "exact") +
+              (failures ? ", feasibility" : "") + (cost ? ", cost" : "") +
+              ", " + std::to_string(n) + " trials";
+          util::Rng rng(static_cast<std::uint64_t>(n) + 7);
+          std::vector<Trial> trials;
+          for (int i = 0; i < n; ++i) {
+            const conf::Config c = objective.space().sample_uniform(rng);
+            // Every third trial a deterministic crash when failures are on.
+            const bool crash = failures && i % 3 == 2;
+            trials.push_back(make_trial(c, crash ? 0.0 : objective.true_value(c),
+                                        !crash));
+          }
+          SurrogateModel model(objective.space(), skip_options(backend, 1), 3,
+                               cost);
+          model.update(trials);
+          ASSERT_TRUE(model.ready()) << where;
+          const std::vector<SurrogateScore> got =
+              expect_score_batch_matches(model, rng, where);
+          // The models under test were live: a fitted feasibility model
+          // varies prob_feasible across probes, a cost model sets log_cost.
+          bool varies = false;
+          for (const SurrogateScore& s : got)
+            varies = varies || s.prob_feasible != got.front().prob_feasible;
+          if (failures && n >= 17) {
+            EXPECT_TRUE(varies) << where;
+          }
+          if (!failures) {
+            EXPECT_FALSE(varies) << where;
+          }
+          if (cost) {
+            EXPECT_NE(got.front().log_cost, 0.0) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
