@@ -16,7 +16,6 @@
 
 #include "baselines/baseline_tuners.h"
 #include "config/sampler.h"
-#include "util/csv.h"
 #include "core/bo_tuner.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"

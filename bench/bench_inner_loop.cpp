@@ -49,7 +49,6 @@
 #include "math/cholesky.h"
 #include "obs/metrics.h"
 #include "util/arg_parse.h"
-#include "util/csv.h"
 #include "util/fs.h"
 #include "util/json.h"
 #include "util/rng.h"

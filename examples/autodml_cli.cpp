@@ -80,7 +80,6 @@
 #include "service/session_manager.h"
 #include "util/arg_parse.h"
 #include "util/chaos.h"
-#include "util/csv.h"
 #include "util/fs.h"
 #include "util/string_util.h"
 #include "workloads/eval_supervisor.h"

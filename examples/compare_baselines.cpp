@@ -7,7 +7,6 @@
 
 #include "baselines/baseline_tuners.h"
 #include "util/arg_parse.h"
-#include "util/csv.h"
 #include "util/string_util.h"
 #include "workloads/objective_adapter.h"
 

@@ -9,7 +9,7 @@
 
 #include "core/early_termination.h"
 #include "util/arg_parse.h"
-#include "util/csv.h"
+#include "util/string_util.h"
 #include "workloads/objective_adapter.h"
 
 using namespace autodml;

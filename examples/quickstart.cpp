@@ -10,7 +10,7 @@
 #include "baselines/baseline_tuners.h"
 #include "core/bo_tuner.h"
 #include "util/arg_parse.h"
-#include "util/csv.h"
+#include "util/string_util.h"
 #include "workloads/objective_adapter.h"
 
 using namespace autodml;

@@ -9,7 +9,7 @@
 #include "core/bo_tuner.h"
 #include "core/sensitivity.h"
 #include "util/arg_parse.h"
-#include "util/csv.h"
+#include "util/string_util.h"
 #include "workloads/objective_adapter.h"
 
 using namespace autodml;

@@ -15,7 +15,10 @@
 #      available;
 #   6. clang-tidy over src/ when the binary is available (the repo
 #      .clang-tidy defines the check set);
-#   7. the config-space linter over every shipped workload.
+#   7. the config-space linter over every shipped workload;
+#   8. the product-surface gate (scripts/check_product_surface.sh): every
+#      out-of-line library function is linked into a product binary or
+#      allowlisted with a reason, DESIGN.md 6n.
 #
 # Legs 5 and 6 need clang; locally they are skipped with a notice when it
 # is not installed, but under CI (CI=true) a missing clang is a hard
@@ -89,5 +92,8 @@ fi
 
 echo "==== config-space lint (shipped workloads)"
 ./build/examples/autodml_cli lint --all
+
+echo "==== product surface"
+JOBS="${JOBS}" scripts/check_product_surface.sh
 
 echo "ALL CHECKS PASSED"

@@ -64,9 +64,11 @@ struct LintReport {
   std::size_t warning_count() const;
 
   /// True when `code` appears at least once.
+  // Test surface: tests/space_lint_test.cpp
   bool has(std::string_view code) const;
 
-  /// Diagnostics for one parameter (for targeted assertions in tests).
+  /// Diagnostics for one parameter.
+  // Test surface: tests/space_lint_test.cpp
   std::vector<Diagnostic> for_param(std::string_view name) const;
 
   /// One diagnostic per line; empty string for a clean report.

@@ -7,7 +7,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "util/csv.h"
 #include "util/string_util.h"
 
 namespace autodml::analysis {

@@ -44,10 +44,6 @@ const std::string& Config::get_cat(std::string_view name) const {
   return std::get<std::string>(ref(name));
 }
 
-bool Config::get_bool(std::string_view name) const {
-  return std::get<bool>(ref(name));
-}
-
 void Config::set_int(std::string_view name, std::int64_t v) {
   mut_ref(name) = v;
 }

@@ -55,7 +55,6 @@ class Config {
   std::int64_t get_int(std::string_view name) const;
   double get_double(std::string_view name) const;
   const std::string& get_cat(std::string_view name) const;
-  bool get_bool(std::string_view name) const;
 
   void set_int(std::string_view name, std::int64_t v);
   void set_double(std::string_view name, double v);
@@ -132,10 +131,12 @@ class ConfigSpace {
 
   /// Number of distinct canonicalized configurations, if the space is fully
   /// discrete; nullopt when any continuous parameter exists.
+  // Test surface: tests/config_test.cpp
   std::optional<std::size_t> discrete_size() const;
 
   /// Enumerate every canonicalized configuration of a fully discrete space
   /// (throws if continuous params exist or the count exceeds max_points).
+  // Test surface: tests/bo_tuner_test.cpp
   std::vector<Config> enumerate(std::size_t max_points = 2'000'000) const;
 
   /// Liveness token handed to configs bound to this space; expires when the

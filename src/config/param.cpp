@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "util/string_util.h"
 
 namespace autodml::conf {
 
@@ -24,8 +24,6 @@ std::string to_string(const ParamValue& v) {
       },
       v);
 }
-
-bool values_equal(const ParamValue& a, const ParamValue& b) { return a == b; }
 
 ParamSpec ParamSpec::integer(std::string name, std::int64_t lo,
                              std::int64_t hi, bool log_scale) {

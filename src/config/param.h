@@ -24,7 +24,6 @@ enum class ParamKind { kInt, kIntChoice, kContinuous, kCategorical, kBool };
 using ParamValue = std::variant<std::int64_t, double, std::string, bool>;
 
 std::string to_string(const ParamValue& v);
-bool values_equal(const ParamValue& a, const ParamValue& b);
 
 class ParamSpec {
  public:

@@ -42,19 +42,6 @@ double normal_pdf(double z) {
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / kSqrt2); }
 
-double log_normal_cdf(double z) {
-  if (z > -8.0) {
-    // erfc is accurate here; guard against log(0) anyway.
-    const double phi = normal_cdf(z);
-    if (phi > 0.0) return std::log(phi);
-  }
-  // Asymptotic expansion of the Mills ratio for the deep lower tail:
-  // Phi(z) ~ phi(z)/(-z) * (1 - 1/z^2 + 3/z^4).
-  const double z2 = z * z;
-  return -0.5 * z2 - std::log(-z * kSqrt2Pi) +
-         std::log1p(-1.0 / z2 + 3.0 / (z2 * z2));
-}
-
 double expected_improvement(double mean, double variance, double best) {
   const double sigma = std::sqrt(std::max(0.0, variance));
   if (sigma < kMinSigma) return std::max(0.0, best - mean);

@@ -26,8 +26,6 @@ constexpr bool reads_cost(AcquisitionKind k) {
 
 double normal_pdf(double z);
 double normal_cdf(double z);
-/// log(Phi(z)), stable for very negative z.
-double log_normal_cdf(double z);
 
 /// Expected improvement over `best` when minimizing; 0 when var == 0 and
 /// mean >= best.

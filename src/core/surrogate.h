@@ -116,7 +116,8 @@ class SurrogateModel {
   bool fits_cost_model() const { return fit_cost_model_; }
 
   /// Backend currently serving the objective model ("exact"/"rff"), or
-  /// nullptr before the first fit. Diagnostics/testing surface.
+  /// nullptr before the first fit.
+  // Test surface: tests/rff_test.cpp
   const char* objective_backend() const;
 
  private:

@@ -102,11 +102,13 @@ class GaussianProcess final : public Regressor {
   /// evaluations at boundary-projected iterates are free. A point whose
   /// Gram matrix is not PD even with jitter is rejected: value 1e100, zero
   /// gradient, not memoized.
+  // Test surface: tests/gp_test.cpp
   LmlResult negative_lml(std::span<const double> packed) const;
 
   /// The value of negative_lml(packed), bit for bit, without building the
   /// gradient: what the Nelder-Mead polish evaluates. Shares the memo, but
   /// the value-only entry it leaves never serves a gradient request.
+  // Test surface: tests/gp_test.cpp
   double negative_lml_value(std::span<const double> packed) const;
 
  private:

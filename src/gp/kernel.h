@@ -88,10 +88,12 @@ class ArdKernelBase : public Kernel {
   /// k(a,b) and d k(a,b) / d log theta_t into `grad_out` (size
   /// num_hyperparams()): eval_pairs() on one pair at the current
   /// hyperparameters.
+  // Test surface: tests/gp_test.cpp
   double eval_with_grad(std::span<const double> a, std::span<const double> b,
                         std::span<double> grad_out) const;
 
   /// d k(a,b) / d log theta_t for every hyperparameter.
+  // Test surface: tests/gp_test.cpp
   math::Vec grad_hyper(std::span<const double> a,
                        std::span<const double> b) const;
 

@@ -89,8 +89,8 @@ class RffRegressor final : public Regressor {
   const Kernel& kernel() const override { return *kernel_; }
   const char* backend_name() const override { return "rff"; }
 
-  /// Feature map φ(x) at the current hyperparameters (m values). Exposed
-  /// for tests.
+  /// Feature map φ(x) at the current hyperparameters (m values).
+  // Test surface: tests/rff_test.cpp
   math::Vec features(std::span<const double> x) const;
 
  private:

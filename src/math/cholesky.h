@@ -58,6 +58,7 @@ struct CholeskyFactor {
   /// Explicit inverse of the lower-triangular factor (L^{-1}, lower
   /// triangular). O(n^3/6) — used to assemble (L L^T)^{-1} as
   /// L^{-T} L^{-1} far cheaper than n unit-vector solves.
+  // Test surface: tests/gp_test.cpp
   Matrix lower_inverse() const;
 };
 

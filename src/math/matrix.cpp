@@ -12,38 +12,9 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-Vec scaled(std::span<const double> x, double alpha) {
-  Vec out(x.begin(), x.end());
-  for (double& v : out) v *= alpha;
-  return out;
-}
-
-Vec added(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw std::invalid_argument("added: size mismatch");
-  Vec out(a.begin(), a.end());
-  for (std::size_t i = 0; i < b.size(); ++i) out[i] += b[i];
-  return out;
-}
-
-Vec subtracted(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("subtracted: size mismatch");
-  Vec out(a.begin(), a.end());
-  for (std::size_t i = 0; i < b.size(); ++i) out[i] -= b[i];
-  return out;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
 }
 
 Matrix Matrix::transposed() const {
@@ -66,25 +37,6 @@ Matrix Matrix::matmul(const Matrix& other) const {
         out(i, j) += a * other(k, j);
       }
     }
-  }
-  return out;
-}
-
-Vec Matrix::matvec(std::span<const double> v) const {
-  if (v.size() != cols_) throw std::invalid_argument("matvec: size mismatch");
-  Vec out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) out[i] = dot(row(i), v);
-  return out;
-}
-
-Vec Matrix::matvec_transposed(std::span<const double> v) const {
-  if (v.size() != rows_)
-    throw std::invalid_argument("matvec_transposed: size mismatch");
-  Vec out(cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double a = v[i];
-    if (a == 0.0) continue;
-    axpy(a, row(i), out);
   }
   return out;
 }

@@ -1,9 +1,8 @@
 // Dense row-major matrix and vector helpers.
 //
 // Deliberately minimal: the GP library needs SPD factorization, triangular
-// solves, mat-vec/mat-mat products, and elementwise vector arithmetic —
-// nothing else — so we keep the surface small rather than growing a general
-// linear-algebra package.
+// solves, dot products and axpy — nothing else — so we keep the surface
+// small rather than growing a general linear-algebra package.
 #pragma once
 
 #include <cstddef>
@@ -21,19 +20,13 @@ using Vec = std::vector<double>;
 // ---- Vector helpers ------------------------------------------------------
 
 double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);           // Euclidean norm
 void axpy(double alpha, std::span<const double> x, std::span<double> y);  // y += alpha*x
-Vec scaled(std::span<const double> x, double alpha);
-Vec added(std::span<const double> a, std::span<const double> b);
-Vec subtracted(std::span<const double> a, std::span<const double> b);
 
 class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  static Matrix identity(std::size_t n);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -59,16 +52,12 @@ class Matrix {
   std::span<double> data() { return data_; }
   std::span<const double> data() const { return data_; }
 
+  // Test surface: tests/math_test.cpp
   Matrix transposed() const;
 
   /// this * other.
+  // Test surface: tests/math_test.cpp
   Matrix matmul(const Matrix& other) const;
-
-  /// this * v.
-  Vec matvec(std::span<const double> v) const;
-
-  /// this^T * v.
-  Vec matvec_transposed(std::span<const double> v) const;
 
   void add_to_diagonal(double value);
 

@@ -188,39 +188,6 @@ OptResult adam(const GradObjective& f, std::span<const double> x0,
   return result;
 }
 
-OptResult golden_section(const std::function<double(double)>& f, double lo,
-                         double hi, double tolerance, int max_iterations) {
-  if (lo > hi) std::swap(lo, hi);
-  const double inv_phi = (std::sqrt(5.0) - 1.0) / 2.0;
-  double a = lo, b = hi;
-  double c = b - inv_phi * (b - a);
-  double d = a + inv_phi * (b - a);
-  double fc = f(c), fd = f(d);
-  int iter = 0;
-  for (; iter < max_iterations && (b - a) > tolerance; ++iter) {
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - inv_phi * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + inv_phi * (b - a);
-      fd = f(d);
-    }
-  }
-  OptResult result;
-  const double x = (a + b) / 2.0;
-  result.x = {x};
-  result.value = f(x);
-  result.iterations = iter;
-  result.converged = (b - a) <= tolerance;
-  return result;
-}
-
 Vec numerical_gradient(const Objective& f, std::span<const double> x,
                        double h) {
   Vec grad(x.size(), 0.0);

@@ -61,11 +61,6 @@ struct AdamOptions {
 OptResult adam(const GradObjective& f, std::span<const double> x0,
                const AdamOptions& options = {});
 
-/// Minimize a unimodal 1-D function on [lo, hi] by golden-section search.
-OptResult golden_section(const std::function<double(double)>& f, double lo,
-                         double hi, double tolerance = 1e-8,
-                         int max_iterations = 200);
-
 /// Central-difference numerical gradient (for tests and fallbacks).
 Vec numerical_gradient(const Objective& f, std::span<const double> x,
                        double h = 1e-6);

@@ -89,12 +89,6 @@ CurveFitResult fit_learning_curve(std::span<const double> samples,
   return out;
 }
 
-double curve_value(const CurveFitResult& fit, double samples) {
-  if (!fit.ok) throw std::logic_error("curve_value: fit not ok");
-  Packed p{fit.ceiling, fit.half_life, fit.gamma, fit.m0};
-  return model(p, samples);
-}
-
 double predict_samples_to_reach(const CurveFitResult& fit, double target) {
   if (!fit.ok) throw std::logic_error("predict: fit not ok");
   if (target >= fit.ceiling) return std::numeric_limits<double>::infinity();

@@ -28,9 +28,6 @@ struct CurveFitResult {
 CurveFitResult fit_learning_curve(std::span<const double> samples,
                                   std::span<const double> metric);
 
-/// Evaluate the fitted curve at `samples`.
-double curve_value(const CurveFitResult& fit, double samples);
-
 /// Samples needed for the fitted curve to reach `target`; +infinity when the
 /// fitted ceiling never reaches it.
 double predict_samples_to_reach(const CurveFitResult& fit, double target);

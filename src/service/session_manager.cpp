@@ -141,11 +141,6 @@ bool SessionManager::shutdown_requested() const {
   return shutdown_;
 }
 
-std::size_t SessionManager::active_sessions() const {
-  util::MutexLock lock(mu_);
-  return sessions_.size();
-}
-
 std::string SessionManager::format_error(const Request& request,
                                          const std::string& code,
                                          const std::string& detail) {

@@ -70,8 +70,6 @@ class SessionManager {
   /// True once a shutdown request was served (the socket server polls it).
   bool shutdown_requested() const;
 
-  std::size_t active_sessions() const;
-
  private:
   /// One queued request plus the promise its caller blocks on. The
   /// create-session op carries its pre-validated config so admission

@@ -83,12 +83,6 @@ bool EventQueue::step() {
   return false;
 }
 
-std::size_t EventQueue::run(std::size_t max_events) {
-  std::size_t executed = 0;
-  while (executed < max_events && step()) ++executed;
-  return executed;
-}
-
 void EventQueue::run_until(double t_end) {
   while (!heap_.empty()) {
     // Peek at the next live event time without running it.

@@ -42,11 +42,8 @@ class EventQueue {
   /// Pop and run the earliest live event. Returns false when empty.
   bool step();
 
-  /// Run until the queue drains or `max_events` have run. Returns the
-  /// number of events executed.
-  std::size_t run(std::size_t max_events = SIZE_MAX);
-
   /// Run until the clock passes `t_end` or the queue drains.
+  // Test surface: tests/flow_network_test.cpp
   void run_until(double t_end);
 
   bool empty() const { return live_count_ == 0; }

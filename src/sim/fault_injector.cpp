@@ -5,16 +5,6 @@
 
 namespace autodml::sim {
 
-std::string to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kWorkerCrash: return "worker-crash";
-    case FaultKind::kPreemption: return "preemption";
-    case FaultKind::kStragglerEpisode: return "straggler-episode";
-    case FaultKind::kNetworkDegrade: return "network-degrade";
-  }
-  return "unknown";
-}
-
 FaultSpec light_fault_spec() {
   FaultSpec spec;
   spec.crash_rate_per_worker_hour = 6.0;

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -40,8 +39,6 @@ enum class FaultKind {
   kStragglerEpisode,
   kNetworkDegrade,
 };
-
-std::string to_string(FaultKind k);
 
 /// Fault-environment description. All rates are Poisson arrival rates; a
 /// default-constructed spec injects nothing (and costs nothing: the
@@ -97,6 +94,7 @@ class FaultInjector {
                 std::uint64_t seed, double horizon_seconds = 3600.0);
 
   /// Test hook: adopt an explicit schedule (events need not be sorted).
+  // Test surface: tests/fault_injector_test.cpp
   FaultInjector(const FaultSpec& spec, std::size_t num_workers,
                 std::vector<FaultEvent> events);
 

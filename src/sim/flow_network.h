@@ -69,10 +69,12 @@ class FlowNetwork {
 
   /// Current max-min fair rate of a flow (bits/sec); 0 if unknown/finished.
   /// Flushes a pending reallocation first.
+  // Test surface: tests/flow_network_test.cpp
   double flow_rate(FlowId id);
 
   /// Sum of rates currently crossing a link (for invariant checks).
   /// Flushes a pending reallocation first.
+  // Test surface: tests/flow_network_test.cpp
   double link_utilization(LinkId link);
 
   /// Number of max-min reallocations run so far.
@@ -98,6 +100,7 @@ class FlowNetwork {
   void mark_dirty();
 
   /// Reallocates if flows were started since the last reallocation.
+  // Test surface: tests/flow_network_test.cpp (through flow_rate)
   void flush();
 
   /// Recompute max-min rates and reschedule the completion event.

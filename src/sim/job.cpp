@@ -9,38 +9,12 @@ SyncMode sync_mode_from_string(std::string_view s) {
   throw std::invalid_argument("unknown sync mode: " + std::string(s));
 }
 
-std::string to_string(SyncMode m) {
-  switch (m) {
-    case SyncMode::kBsp:
-      return "bsp";
-    case SyncMode::kAsp:
-      return "asp";
-    case SyncMode::kSsp:
-      return "ssp";
-  }
-  return "?";
-}
-
 Compression compression_from_string(std::string_view s) {
   if (s == "none") return Compression::kNone;
   if (s == "fp16") return Compression::kFp16;
   if (s == "int8") return Compression::kInt8;
   if (s == "topk") return Compression::kTopK;
   throw std::invalid_argument("unknown compression: " + std::string(s));
-}
-
-std::string to_string(Compression c) {
-  switch (c) {
-    case Compression::kNone:
-      return "none";
-    case Compression::kFp16:
-      return "fp16";
-    case Compression::kInt8:
-      return "int8";
-    case Compression::kTopK:
-      return "topk";
-  }
-  return "?";
 }
 
 CompressionProps compression_props(Compression c) {

@@ -12,9 +12,7 @@ enum class SyncMode { kBsp, kAsp, kSsp };
 enum class Compression { kNone, kFp16, kInt8, kTopK };
 
 SyncMode sync_mode_from_string(std::string_view s);
-std::string to_string(SyncMode m);
 Compression compression_from_string(std::string_view s);
-std::string to_string(Compression c);
 
 /// How a compression scheme changes traffic and compute.
 /// `sample_penalty` (the statistical-efficiency cost of lossy gradients) is

@@ -10,10 +10,6 @@ Arch arch_from_string(std::string_view s) {
   throw std::invalid_argument("unknown architecture: " + std::string(s));
 }
 
-std::string to_string(Arch a) {
-  return a == Arch::kPs ? "ps" : "allreduce";
-}
-
 MemoryCheck check_memory(const Cluster& cluster, const JobParams& job,
                          Arch arch, const MemoryParams& params) {
   MemoryCheck check;

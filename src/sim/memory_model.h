@@ -17,7 +17,6 @@ namespace autodml::sim {
 enum class Arch { kPs, kAllReduce };
 
 Arch arch_from_string(std::string_view s);
-std::string to_string(Arch a);
 
 struct MemoryParams {
   /// Bytes of activations retained per sample of the mini-batch.

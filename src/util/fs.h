@@ -67,6 +67,7 @@ FileOps& file_ops();
 /// Install `ops` for the lifetime of the scope; restores the previous seam
 /// on destruction. Not reentrancy-safe across threads by design: tests
 /// install the shim before spawning work.
+// Test surface: tests/fs_fault_test.cpp
 class ScopedFileOps {
  public:
   explicit ScopedFileOps(FileOps* ops);
@@ -102,6 +103,7 @@ struct FaultPlan {
 /// syscalls. Counters are internal, so two identically-planned shims
 /// behave identically — the basis of the fault-injection determinism
 /// tests.
+// Test surface: tests/fs_fault_test.cpp
 class FaultyFileOps : public FileOps {
  public:
   explicit FaultyFileOps(FaultPlan plan) : plan_(std::move(plan)) {}

@@ -1,6 +1,5 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -9,7 +8,6 @@
 namespace autodml::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 // Serializes interleaved stderr writes; guards no members, so there is
 // nothing for ADML_GUARDED_BY to name.
 Mutex g_mutex;  // adml-lint: allow(D102 serializes a shared stream, not data)
@@ -24,19 +22,13 @@ const char* tag(LogLevel level) {
       return "WARN ";
     case LogLevel::kError:
       return "ERROR";
-    case LogLevel::kOff:
-      return "OFF  ";
   }
   return "?????";
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
 void log_line(LogLevel level, std::string_view msg) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
+  if (static_cast<int>(level) < static_cast<int>(kLogThreshold)) return;
   using clock = std::chrono::system_clock;
   const auto now = clock::now();
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(

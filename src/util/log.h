@@ -11,11 +11,10 @@
 
 namespace autodml::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are dropped. Defaults to kInfo.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+/// Minimum level; messages below it are dropped.
+inline constexpr LogLevel kLogThreshold = LogLevel::kInfo;
 
 /// Emit one line (timestamp, level tag, message) to stderr. Thread-safe.
 void log_line(LogLevel level, std::string_view msg);
@@ -45,8 +44,8 @@ class LogStream {
 }  // namespace autodml::util
 
 #define ADML_LOG(level)                                              \
-  if (static_cast<int>(level) < static_cast<int>(                    \
-          ::autodml::util::log_level())) {                           \
+  if (static_cast<int>(level) <                                      \
+      static_cast<int>(::autodml::util::kLogThreshold)) {            \
   } else                                                             \
     ::autodml::util::detail::LogStream(level)
 

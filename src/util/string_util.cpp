@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 namespace autodml::util {
@@ -29,15 +30,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string_view trim(std::string_view s) {
-  const auto not_space = [](char c) {
-    return c != ' ' && c != '\t' && c != '\n' && c != '\r';
-  };
-  while (!s.empty() && !not_space(s.front())) s.remove_prefix(1);
-  while (!s.empty() && !not_space(s.back())) s.remove_suffix(1);
-  return s;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.starts_with(prefix);
 }
@@ -55,11 +47,10 @@ std::string pad_right(std::string_view s, std::size_t width) {
   return out;
 }
 
-std::string pad_left(std::string_view s, std::size_t width) {
-  std::string out;
-  if (s.size() < width) out.append(width - s.size(), ' ');
-  out += s;
-  return out;
+std::string fmt(double v, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  return buf;
 }
 
 std::string render_table(const std::vector<std::string>& header,

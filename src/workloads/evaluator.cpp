@@ -7,10 +7,6 @@
 
 namespace autodml::wl {
 
-std::string to_string(Objective o) {
-  return o == Objective::kTimeToAccuracy ? "time" : "cost";
-}
-
 double EvalResult::objective_value(Objective objective) const {
   if (!feasible || terminated_early)
     return std::numeric_limits<double>::infinity();
@@ -171,11 +167,6 @@ void Evaluator::apply_deadline(EvalResult& result) const {
   result.spent_seconds = options_.provisioning_overhead_seconds +
                          options_.deadline_seconds;
   result.spent_usd = result.spent_seconds / 3600.0 * result.usd_per_hour;
-}
-
-EvalResult Evaluator::evaluate(const conf::Config& config) {
-  auto run = start(config);
-  return run->result();
 }
 
 std::unique_ptr<TrainingRun> Evaluator::start(const conf::Config& config) {

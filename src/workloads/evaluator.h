@@ -33,8 +33,6 @@ namespace autodml::wl {
 
 enum class Objective { kTimeToAccuracy, kCostToAccuracy };
 
-std::string to_string(Objective o);
-
 struct EvalResult {
   conf::Config config;
   bool feasible = false;
@@ -133,9 +131,6 @@ class Evaluator {
   const Workload& workload() const { return workload_; }
   const conf::ConfigSpace& space() const { return space_; }
   const EvaluatorOptions& options() const { return options_; }
-
-  /// Full (never aborted) evaluation; charges the whole run.
-  EvalResult evaluate(const conf::Config& config);
 
   /// Checkpoint-streaming evaluation for early-termination policies.
   std::unique_ptr<TrainingRun> start(const conf::Config& config);

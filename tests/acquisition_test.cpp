@@ -21,26 +21,6 @@ TEST(NormalDist, CdfKnownValues) {
   EXPECT_NEAR(normal_cdf(-1.959963985), 0.025, 1e-6);
 }
 
-TEST(NormalDist, LogCdfMatchesDirectInSafeRange) {
-  for (double z : {-5.0, -2.0, 0.0, 1.5, 4.0}) {
-    EXPECT_NEAR(log_normal_cdf(z), std::log(normal_cdf(z)), 1e-6) << z;
-  }
-}
-
-TEST(NormalDist, LogCdfStableInDeepTail) {
-  // Direct computation underflows; asymptotic must stay finite, monotone.
-  double prev = log_normal_cdf(-10.0);
-  EXPECT_TRUE(std::isfinite(prev));
-  for (double z : {-20.0, -30.0, -50.0}) {
-    const double v = log_normal_cdf(z);
-    EXPECT_TRUE(std::isfinite(v));
-    EXPECT_LT(v, prev);
-    prev = v;
-  }
-  // Continuity across the switchover near z = -8.
-  EXPECT_NEAR(log_normal_cdf(-7.999), log_normal_cdf(-8.001), 0.02);
-}
-
 // ---- EI ---------------------------------------------------------------------------
 
 TEST(ExpectedImprovement, NonNegative) {

@@ -14,7 +14,7 @@
 
 #include "core/bo_tuner.h"
 #include "sim/fault_injector.h"
-#include "util/csv.h"
+#include "util/string_util.h"
 #include "workloads/eval_supervisor.h"
 #include "workloads/evaluator.h"
 #include "workloads/workload.h"

@@ -65,8 +65,8 @@ TEST(Determinism, EvaluatorSequencesReproduce) {
     const conf::Config ca = eval_a.space().sample_uniform(cfg_a);
     const conf::Config cb = eval_b.space().sample_uniform(cfg_b);
     ASSERT_TRUE(ca == cb);
-    const wl::EvalResult ra = eval_a.evaluate(ca);
-    const wl::EvalResult rb = eval_b.evaluate(cb);
+    const wl::EvalResult ra = eval_a.start(ca)->result();
+    const wl::EvalResult rb = eval_b.start(cb)->result();
     EXPECT_EQ(ra.feasible, rb.feasible);
     if (ra.feasible) {
       EXPECT_DOUBLE_EQ(ra.tta_seconds, rb.tta_seconds);
@@ -226,14 +226,13 @@ TEST(Determinism, ObservabilityDoesNotPerturbResults) {
 // ---- misc utility coverage -------------------------------------------------------
 
 TEST(LogLevels, FilteringRespectsThreshold) {
-  const util::LogLevel original = util::log_level();
-  util::set_log_level(util::LogLevel::kError);
-  EXPECT_EQ(util::log_level(), util::LogLevel::kError);
-  // Below-threshold logging must be a no-op (no crash, no output path).
-  ADML_INFO << "suppressed";
-  util::set_log_level(util::LogLevel::kOff);
-  ADML_ERROR << "also suppressed";
-  util::set_log_level(original);
+  static_assert(util::kLogThreshold == util::LogLevel::kInfo);
+  testing::internal::CaptureStderr();
+  ADML_DEBUG << "debug-line";
+  ADML_INFO << "info-line";
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("debug-line"), std::string::npos) << err;
+  EXPECT_NE(err.find("info-line"), std::string::npos) << err;
 }
 
 TEST(Stopwatch, MeasuresElapsedMonotonically) {

@@ -14,7 +14,7 @@ TEST(EventQueue, RunsInTimeOrder) {
   q.schedule_at(3.0, [&] { order.push_back(3); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
   q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
@@ -25,7 +25,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.schedule_at(1.0, [&order, i] { order.push_back(i); });
   }
-  q.run();
+  while (q.step()) {}
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -35,14 +35,14 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTime) {
   q.schedule_at(5.0, [&] {
     q.schedule_after(2.0, [&] { fired_at = q.now(); });
   });
-  q.run();
+  while (q.step()) {}
   EXPECT_DOUBLE_EQ(fired_at, 7.0);
 }
 
 TEST(EventQueue, PastSchedulingThrows) {
   EventQueue q;
   q.schedule_at(5.0, [] {});
-  q.run();
+  while (q.step()) {}
   EXPECT_THROW(q.schedule_at(4.0, [] {}), std::invalid_argument);
   EXPECT_THROW(q.schedule_after(-1.0, [] {}), std::invalid_argument);
 }
@@ -52,7 +52,7 @@ TEST(EventQueue, CancelPreventsExecution) {
   bool ran = false;
   const EventId id = q.schedule_at(1.0, [&] { ran = true; });
   q.cancel(id);
-  q.run();
+  while (q.step()) {}
   EXPECT_FALSE(ran);
   EXPECT_TRUE(q.empty());
 }
@@ -60,7 +60,7 @@ TEST(EventQueue, CancelPreventsExecution) {
 TEST(EventQueue, CancelIsIdempotentAndSafeAfterRun) {
   EventQueue q;
   const EventId id = q.schedule_at(1.0, [] {});
-  q.run();
+  while (q.step()) {}
   q.cancel(id);  // already ran: no-op
   q.cancel(id);
   EXPECT_TRUE(q.empty());
@@ -73,18 +73,8 @@ TEST(EventQueue, PendingCountsLiveEventsOnly) {
   EXPECT_EQ(q.pending(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.pending(), 1u);
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, RunLimitsEventCount) {
-  EventQueue q;
-  int count = 0;
-  for (int i = 0; i < 5; ++i)
-    q.schedule_at(static_cast<double>(i), [&] { ++count; });
-  EXPECT_EQ(q.run(3), 3u);
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(q.pending(), 2u);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
@@ -95,7 +85,7 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
   q.run_until(2.5);
   EXPECT_EQ(fired.size(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.5);
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(fired.size(), 4u);
 }
 
@@ -131,7 +121,7 @@ TEST(EventQueue, StaleCancelAfterSlotReuseKeepsNewEvent) {
   q.cancel(second);  // already ran; slot reused by `third`
   q.cancel(first);
   EXPECT_EQ(q.pending(), 1u);
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(ran, (std::vector<int>{2, 3}));
   q.cancel(third);
   EXPECT_TRUE(q.empty());
@@ -159,7 +149,7 @@ TEST(EventQueue, SlotPoolKeepsTimeThenFifoOrderUnderChurn) {
     }
   }
   EXPECT_EQ(q.pending(), expected.size());
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(order, expected);
   EXPECT_TRUE(q.empty());
 }
@@ -171,7 +161,7 @@ TEST(EventQueue, EventsCanScheduleEvents) {
     if (++depth < 50) q.schedule_after(1.0, recurse);
   };
   q.schedule_at(0.0, recurse);
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(depth, 50);
   EXPECT_DOUBLE_EQ(q.now(), 49.0);
 }

@@ -55,7 +55,7 @@ TEST(Deadline, ViolatingRunChargedUpToDeadline) {
   wl::EvaluatorOptions options;
   options.deadline_seconds = tta / 3.0;
   wl::Evaluator constrained(workload, 5, options);
-  const wl::EvalResult r = constrained.evaluate(c);
+  const wl::EvalResult r = constrained.start(c)->result();
   EXPECT_FALSE(r.feasible);
   // Charged provisioning + the deadline, not the (longer) full run.
   EXPECT_LT(r.spent_seconds, tta);

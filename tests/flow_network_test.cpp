@@ -14,7 +14,7 @@ TEST(FlowNetwork, SingleFlowExactDuration) {
   const LinkId link = net.add_link(1e6);  // 1 Mbit/s
   double done_at = -1.0;
   net.start_flow({link}, 2e6, [&] { done_at = q.now(); });  // 2 Mbit
-  q.run();
+  while (q.step()) {}
   EXPECT_NEAR(done_at, 2.0, 1e-9);
 }
 
@@ -25,7 +25,7 @@ TEST(FlowNetwork, TwoEqualFlowsShareFairly) {
   double t1 = -1, t2 = -1;
   net.start_flow({link}, 1e6, [&] { t1 = q.now(); });
   net.start_flow({link}, 1e6, [&] { t2 = q.now(); });
-  q.run();
+  while (q.step()) {}
   // Both progress at 0.5 Mbit/s -> both finish at t=2.
   EXPECT_NEAR(t1, 2.0, 1e-9);
   EXPECT_NEAR(t2, 2.0, 1e-9);
@@ -38,7 +38,7 @@ TEST(FlowNetwork, ShortFlowDepartsAndLongFlowSpeedsUp) {
   double t_short = -1, t_long = -1;
   net.start_flow({link}, 0.5e6, [&] { t_short = q.now(); });
   net.start_flow({link}, 1.5e6, [&] { t_long = q.now(); });
-  q.run();
+  while (q.step()) {}
   // Phase 1: both at 0.5 Mb/s; short needs 0.5Mb -> done at t=1.
   // Phase 2: long has 1.0 Mb left at full rate -> done at t=2.
   EXPECT_NEAR(t_short, 1.0, 1e-9);
@@ -109,7 +109,7 @@ TEST(FlowNetwork, ZeroByteFlowCompletesImmediately) {
   const LinkId link = net.add_link(1e6);
   bool done = false;
   net.start_flow({link}, 0.0, [&] { done = true; });
-  q.run();
+  while (q.step()) {}
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(q.now(), 0.0);
 }
@@ -119,7 +119,7 @@ TEST(FlowNetwork, EmptyPathFlowCompletesImmediately) {
   FlowNetwork net(q);
   bool done = false;
   net.start_flow({}, 1e9, [&] { done = true; });
-  q.run();
+  while (q.step()) {}
   EXPECT_TRUE(done);
 }
 
@@ -164,7 +164,7 @@ TEST(FlowNetwork, FlowsStartedAtOneInstantReallocateOnce) {
   // Equal flows on one downlink share it evenly.
   EXPECT_NEAR(net.link_utilization(fabric.downlink(server)), 8e6, 1e-3);
   EXPECT_EQ(net.reallocations(), 1u);  // no flows started: nothing to flush
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(done, kWorkers);
 }
 
@@ -180,7 +180,7 @@ TEST(FlowNetwork, RateQueriesFlushPendingStarts) {
   EXPECT_EQ(net.reallocations(), 1u);
   // The inline flush cancelled the instant's flush event, so running the
   // queue adds one reallocation: the completion event that retires both.
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(net.reallocations(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
@@ -192,7 +192,7 @@ TEST(FlowNetwork, EmptyAndZeroByteFlowsDoNotReallocate) {
   int done = 0;
   net.start_flow({}, 1e9, [&] { ++done; });
   net.start_flow({link}, 0.0, [&] { ++done; });
-  q.run();
+  while (q.step()) {}
   EXPECT_EQ(done, 2);
   EXPECT_EQ(net.reallocations(), 0u);
 }
@@ -205,12 +205,13 @@ TEST(FlowNetwork, LongVirtualTimesDoNotLivelock) {
   const LinkId link = net.add_link(1e9);
   // Push the clock far out first.
   q.schedule_at(1e6, [] {});
-  q.run();
+  while (q.step()) {}
   int completed = 0;
   for (int i = 0; i < 200; ++i) {
     net.start_flow({link}, 512.0, [&] { ++completed; });
   }
-  const std::size_t executed = q.run(100000);
+  std::size_t executed = 0;
+  while (executed < 100000 && q.step()) ++executed;
   EXPECT_EQ(completed, 200);
   EXPECT_LT(executed, 100000u);  // must terminate well below the guard
 }
@@ -223,7 +224,7 @@ TEST(StarFabric, TransferTimeIsLatencyPlusSerialization) {
   const std::size_t b = fabric.add_node(8e6);
   double done_at = -1;
   fabric.send(a, b, 1e6, 0.25, [&] { done_at = q.now(); });  // 1 MB
-  q.run();
+  while (q.step()) {}
   EXPECT_NEAR(done_at, 0.25 + 1.0, 1e-9);
 }
 
@@ -234,7 +235,7 @@ TEST(StarFabric, SameNodeTransferIsLatencyOnly) {
   const std::size_t a = fabric.add_node(1e3);  // absurdly slow NIC
   double done_at = -1;
   fabric.send(a, a, 1e9, 0.1, [&] { done_at = q.now(); });
-  q.run();
+  while (q.step()) {}
   EXPECT_NEAR(done_at, 0.1, 1e-12);
 }
 
@@ -248,7 +249,7 @@ TEST(StarFabric, UplinkContentionSlowsConcurrentSends) {
   double t1 = -1, t2 = -1;
   fabric.send(src, d1, 1e6, 0.0, [&] { t1 = q.now(); });
   fabric.send(src, d2, 1e6, 0.0, [&] { t2 = q.now(); });
-  q.run();
+  while (q.step()) {}
   // Shared uplink: both take ~2 s instead of 1 s.
   EXPECT_NEAR(t1, 2.0, 1e-6);
   EXPECT_NEAR(t2, 2.0, 1e-6);
@@ -264,7 +265,7 @@ TEST(StarFabric, DownlinkContentionForSharedReceiver) {
   double t1 = -1, t2 = -1;
   fabric.send(s1, dst, 1e6, 0.0, [&] { t1 = q.now(); });
   fabric.send(s2, dst, 1e6, 0.0, [&] { t2 = q.now(); });
-  q.run();
+  while (q.step()) {}
   EXPECT_NEAR(t1, 2.0, 1e-6);
   EXPECT_NEAR(t2, 2.0, 1e-6);
 }

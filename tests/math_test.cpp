@@ -16,7 +16,6 @@ namespace {
 TEST(VecOps, DotAndNorm) {
   const Vec a{1, 2, 3}, b{4, 5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  EXPECT_DOUBLE_EQ(norm2(Vec{3, 4}), 5.0);
   EXPECT_THROW(dot(a, Vec{1}), std::invalid_argument);
 }
 
@@ -25,18 +24,9 @@ TEST(VecOps, AxpyAndArithmetic) {
   axpy(2.0, Vec{3, 4}, y);
   EXPECT_DOUBLE_EQ(y[0], 7.0);
   EXPECT_DOUBLE_EQ(y[1], 9.0);
-  EXPECT_EQ(scaled(Vec{1, 2}, 3.0), (Vec{3, 6}));
-  EXPECT_EQ(added(Vec{1, 2}, Vec{3, 4}), (Vec{4, 6}));
-  EXPECT_EQ(subtracted(Vec{3, 4}, Vec{1, 2}), (Vec{2, 2}));
 }
 
 // ---- Matrix ---------------------------------------------------------------------
-
-TEST(Matrix, IdentityAndIndexing) {
-  const Matrix eye = Matrix::identity(3);
-  EXPECT_DOUBLE_EQ(eye(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(eye(0, 1), 0.0);
-}
 
 TEST(Matrix, TransposeInvolution) {
   Matrix m(2, 3);
@@ -66,25 +56,9 @@ TEST(Matrix, MatmulKnownProduct) {
   EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
 }
 
-TEST(Matrix, MatvecAndTransposedMatvec) {
-  Matrix a(2, 3);
-  for (std::size_t i = 0; i < 2; ++i)
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = static_cast<double>(i * 3 + j + 1);
-  const Vec v{1, 0, -1};
-  const Vec out = a.matvec(v);
-  EXPECT_DOUBLE_EQ(out[0], -2.0);
-  EXPECT_DOUBLE_EQ(out[1], -2.0);
-  const Vec w{1, 2};
-  const Vec tout = a.matvec_transposed(w);
-  EXPECT_DOUBLE_EQ(tout[0], 9.0);
-  EXPECT_DOUBLE_EQ(tout[1], 12.0);
-  EXPECT_DOUBLE_EQ(tout[2], 15.0);
-}
-
 TEST(Matrix, ShapeMismatchThrows) {
   Matrix a(2, 3), b(2, 3);
   EXPECT_THROW(a.matmul(b), std::invalid_argument);
-  EXPECT_THROW(a.matvec(Vec{1, 2}), std::invalid_argument);
 }
 
 // ---- Cholesky -------------------------------------------------------------------
@@ -115,8 +89,7 @@ TEST(Cholesky, SolveMatchesDirect) {
   const auto f = cholesky(a);
   ASSERT_TRUE(f.has_value());
   const Vec x = f->solve(b);
-  const Vec back = a.matvec(x);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(back[i], b[i], 1e-8);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(dot(a.row(i), x), b[i], 1e-8);
 }
 
 TEST(Cholesky, LogDetMatchesKnown) {
@@ -313,7 +286,8 @@ TEST(CheckedMode, CheckFiniteNamesOffendingEntry) {
 
 TEST(CheckedMode, CholeskyRejectsNonFiniteInputWithLocation) {
 #if AUTODML_CHECKED_ENABLED
-  Matrix m = Matrix::identity(3);
+  Matrix m(3, 3);
+  m.add_to_diagonal(1.0);
   m(2, 1) = std::numeric_limits<double>::quiet_NaN();
   try {
     cholesky(m);
@@ -335,8 +309,8 @@ TEST(Cholesky, SolveLowerUpperConsistency) {
   Vec b(5);
   for (auto& x : b) x = rng.normal();
   const Vec y = f->solve_lower(b);
-  const Vec ly = f->lower.matvec(y);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(ly[i], b[i], 1e-10);
+  for (std::size_t i = 0; i < 5; ++i)
+    EXPECT_NEAR(dot(f->lower.row(i), y), b[i], 1e-10);
 }
 
 // ---- Nelder-Mead -------------------------------------------------------------------
@@ -500,21 +474,6 @@ TEST(Adam, NonFiniteInitialValueReportsInfinityNotNan) {
   EXPECT_FALSE(std::isnan(r.value));
   EXPECT_EQ(r.value, std::numeric_limits<double>::infinity());
   EXPECT_TRUE(std::isfinite(r.x[0]));  // iterate never NaN-poisoned
-}
-
-// ---- golden section ------------------------------------------------------------------
-
-TEST(GoldenSection, FindsMinimum) {
-  const auto f = [](double x) { return (x - 1.7) * (x - 1.7) + 0.5; };
-  const OptResult r = golden_section(f, 0.0, 5.0);
-  EXPECT_NEAR(r.x[0], 1.7, 1e-6);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(GoldenSection, HandlesSwappedBounds) {
-  const auto f = [](double x) { return std::abs(x - 2.0); };
-  const OptResult r = golden_section(f, 5.0, 0.0);
-  EXPECT_NEAR(r.x[0], 2.0, 1e-5);
 }
 
 // ---- numerical gradient ---------------------------------------------------------------

@@ -34,7 +34,8 @@ TEST(FlowNetworkProperty, RandomScenariosDeliverEveryFlow) {
                   rng.uniform(0.0, 5e6), rng.uniform(0.0, 0.01),
                   [&] { ++completed; });
     }
-    const std::size_t executed = queue.run(200000);
+    std::size_t executed = 0;
+    while (executed < 200000 && queue.step()) ++executed;
     EXPECT_EQ(completed, flows) << "scenario " << scenario;
     EXPECT_LT(executed, 200000u);
   }
@@ -55,7 +56,7 @@ TEST(FlowNetworkProperty, CompletionTimeLowerBoundedBySerialization) {
     const double latency = rng.uniform(0.0, 0.02);
     double done_at = -1.0;
     fabric.send(a, b, bytes, latency, [&] { done_at = queue.now(); });
-    queue.run();
+    while (queue.step()) {}
     const double bound = latency + bytes * 8.0 / std::min(cap_a, cap_b);
     EXPECT_GE(done_at, bound * (1.0 - 1e-9)) << scenario;
     EXPECT_NEAR(done_at, bound, bound * 1e-6 + 1e-9) << scenario;
@@ -192,7 +193,7 @@ TEST_P(EvaluatorFuzzTest, ContractHoldsOnRandomConfigs) {
   util::Rng rng(88);
   for (int i = 0; i < 60; ++i) {
     const conf::Config c = evaluator.space().sample_uniform(rng);
-    const wl::EvalResult r = evaluator.evaluate(c);
+    const wl::EvalResult r = evaluator.start(c)->result();
     // Contract: spent time always positive and charged; objective finite
     // iff the run is feasible and complete; failures carry a reason.
     EXPECT_GT(r.spent_seconds, 0.0);

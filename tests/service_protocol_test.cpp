@@ -206,7 +206,10 @@ TEST(ServiceProtocol, DoubleCloseSessionIsTyped) {
   // The registry entry is gone, so the second close reports unknown.
   expect_error(manager, R"({"op":"close-session","session":"s"})",
                errc::kUnknownSession);
-  EXPECT_EQ(manager.active_sessions(), 0u);
+  EXPECT_EQ(expect_ok(manager, R"({"op":"stats"})")
+                .at("sessions_active")
+                .as_number(),
+            0.0);
 }
 
 TEST(ServiceProtocol, SuggestPastMaxPendingIsTyped) {

@@ -33,8 +33,7 @@ const char* kGoldenPath = AUTODML_SOURCE_DIR "/tests/golden/sim_sweep.json";
 constexpr int kWorkerCounts[] = {1, 2, 7, 16, 48};
 constexpr int kServerCounts[] = {1, 3, 8};
 constexpr int kCommThreads[] = {1, 4};
-constexpr SyncMode kSyncModes[] = {SyncMode::kBsp, SyncMode::kAsp,
-                                   SyncMode::kSsp};
+constexpr const char* kSyncModes[] = {"bsp", "asp", "ssp"};
 
 std::string hex(double v) {
   char buf[64];
@@ -99,7 +98,7 @@ util::JsonValue run_sweep() {
                                    (faults_on ? "-faults" : "-clean");
         for (const int s : kServerCounts) {
           for (const int threads : kCommThreads) {
-            for (const SyncMode sync : kSyncModes) {
+            for (const char* sync : kSyncModes) {
               PsSimOptions options;
               options.warmup_iterations = 2;
               options.measure_iterations = 6;
@@ -107,8 +106,10 @@ util::JsonValue run_sweep() {
               util::Rng rng(seed);
               const RuntimeStats stats =
                   simulate_ps(make_cluster(w, s, seed),
-                              make_job(sync, threads, compress), rng, options);
-              cases["ps-" + to_string(sync) + suffix + "-s" +
+                              make_job(sync_mode_from_string(sync), threads,
+                                       compress),
+                              rng, options);
+              cases["ps-" + std::string(sync) + suffix + "-s" +
                     std::to_string(s) + "-t" + std::to_string(threads)] =
                   stats_to_json(stats);
             }

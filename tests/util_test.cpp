@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "util/arg_parse.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -240,40 +238,6 @@ TEST(Stats, Geomean) {
   EXPECT_THROW(geomean(std::vector<double>{1.0, -1.0}), std::invalid_argument);
 }
 
-// ---- csv --------------------------------------------------------------------
-
-TEST(Csv, EscapeQuotesAndCommas) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WriterRoundTrip) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.header({"a", "b"});
-  w.build().add(std::string_view("x")).add(1.5).done();
-  EXPECT_EQ(os.str(), "a,b\nx,1.5\n");
-}
-
-TEST(Csv, WidthMismatchThrows) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.header({"a", "b"});
-  EXPECT_THROW(w.row({"only-one"}), std::logic_error);
-}
-
-TEST(Csv, DoubleHeaderThrows) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.header({"a"});
-  EXPECT_THROW(w.header({"a"}), std::logic_error);
-}
-
-TEST(Csv, FmtPrecision) {
-  EXPECT_EQ(fmt(1.0 / 3.0, 3), "0.333");
-}
-
 // ---- string_util -------------------------------------------------------------
 
 TEST(StringUtil, SplitBasic) {
@@ -288,11 +252,6 @@ TEST(StringUtil, JoinInvertsSplit) {
   EXPECT_EQ(join({}, ","), "");
 }
 
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  x y \n"), "x y");
-  EXPECT_EQ(trim("   "), "");
-}
-
 TEST(StringUtil, StartsWith) {
   EXPECT_TRUE(starts_with("--flag", "--"));
   EXPECT_FALSE(starts_with("-", "--"));
@@ -300,8 +259,11 @@ TEST(StringUtil, StartsWith) {
 
 TEST(StringUtil, Padding) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
-  EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("abcd", 2), "abcd");  // no truncation
+}
+
+TEST(StringUtil, FmtPrecision) {
+  EXPECT_EQ(fmt(1.0 / 3.0, 3), "0.333");
 }
 
 TEST(StringUtil, RenderTableAligns) {

@@ -120,7 +120,7 @@ TEST(Evaluator, DefaultConfigIsFeasible) {
   const auto& workload = workload_by_name("logreg-ads");
   Evaluator evaluator(workload, 3);
   const conf::Config c = default_expert_config(workload, evaluator.space());
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   EXPECT_TRUE(r.feasible);
   EXPECT_GT(r.tta_seconds, 0.0);
   EXPECT_GT(r.cost_usd, 0.0);
@@ -144,8 +144,8 @@ TEST(Evaluator, RepeatedEvaluationsAreNoisy) {
   const auto& workload = workload_by_name("mlp-tabular");
   Evaluator evaluator(workload, 5);
   const conf::Config c = default_expert_config(workload, evaluator.space());
-  const EvalResult a = evaluator.evaluate(c);
-  const EvalResult b = evaluator.evaluate(c);
+  const EvalResult a = evaluator.start(c)->result();
+  const EvalResult b = evaluator.start(c)->result();
   EXPECT_NE(a.tta_seconds, b.tta_seconds);
   // ... but within the noise envelope.
   EXPECT_NEAR(std::log(a.tta_seconds / b.tta_seconds), 0.0, 1.0);
@@ -155,7 +155,7 @@ TEST(Evaluator, LedgerChargesFullRuns) {
   const auto& workload = workload_by_name("logreg-ads");
   Evaluator evaluator(workload, 6);
   const conf::Config c = default_expert_config(workload, evaluator.space());
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   EXPECT_EQ(evaluator.num_runs(), 1u);
   EXPECT_NEAR(evaluator.total_spent_seconds(), r.spent_seconds, 1e-9);
   EXPECT_GT(r.spent_seconds, r.tta_seconds);  // includes provisioning
@@ -170,7 +170,7 @@ TEST(Evaluator, OomConfigFailsFastAndCheap) {
   c.set_cat("arch", "allreduce");     // + optimizer state on workers
   evaluator.space().canonicalize(c);
   // Make it definitively OOM by the largest batch on the smallest shape.
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   if (!r.feasible) {
     EXPECT_FALSE(r.failure.empty());
     EXPECT_LT(r.spent_seconds, 600.0);  // only provisioning overhead
@@ -186,7 +186,7 @@ TEST(Evaluator, DivergentLrReportsDivergence) {
   c.set_int("batch_per_worker", 8);
   c.set_int("num_workers", 1);
   evaluator.space().canonicalize(c);
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   EXPECT_FALSE(r.feasible);
   EXPECT_EQ(r.failure, "diverged");
   EXPECT_GT(r.spent_seconds, 0.0);
@@ -220,7 +220,7 @@ TEST(Evaluator, AbortChargesOnlyTimeSpent) {
   Evaluator abort_eval(workload, 10);
   const conf::Config c = default_expert_config(workload, full_eval.space());
 
-  const EvalResult full = full_eval.evaluate(c);
+  const EvalResult full = full_eval.start(c)->result();
 
   auto run = abort_eval.start(c);
   ASSERT_TRUE(run->next_checkpoint().has_value());
@@ -250,7 +250,7 @@ TEST(Evaluator, CostObjectiveUsesDollars) {
   options.objective = Objective::kCostToAccuracy;
   Evaluator evaluator(workload, 12, options);
   const conf::Config c = default_expert_config(workload, evaluator.space());
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   EXPECT_DOUBLE_EQ(r.objective_value(Objective::kCostToAccuracy), r.cost_usd);
   EXPECT_NEAR(r.cost_usd, r.tta_seconds / 3600.0 * r.usd_per_hour, 1e-6);
 }
@@ -301,7 +301,7 @@ TEST(ObjectiveAdapter, ToTrialConversion) {
   const auto& workload = workload_by_name("logreg-ads");
   Evaluator evaluator(workload, 15);
   const conf::Config c = default_expert_config(workload, evaluator.space());
-  const EvalResult r = evaluator.evaluate(c);
+  const EvalResult r = evaluator.start(c)->result();
   const core::Trial trial = to_trial(r, Objective::kTimeToAccuracy);
   EXPECT_TRUE(trial.succeeded());
   EXPECT_DOUBLE_EQ(trial.outcome.objective, r.tta_seconds);

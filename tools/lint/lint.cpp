@@ -233,10 +233,9 @@ PathInfo classify(std::string_view path) {
   // snapshots) must be byte-stable, so iteration order matters there too.
   info.ordered = info.deterministic || info.is_obs;
 
-  static constexpr std::array<std::string_view, 7> kSerializationFiles = {
-      "src/core/session_io",  "src/util/json",       "src/util/csv",
-      "src/obs/metrics",      "src/obs/trace",       "src/service/protocol",
-      "src/service/space_json"};
+  static constexpr std::array<std::string_view, 6> kSerializationFiles = {
+      "src/core/session_io", "src/util/json",        "src/obs/metrics",
+      "src/obs/trace",       "src/service/protocol", "src/service/space_json"};
   for (const auto file : kSerializationFiles) {
     if (starts_with(rel, file)) info.serialization = true;
   }
