@@ -294,9 +294,6 @@ void BoTuner::ingest_front(Trial trial) {
       journal_->append(trial);
     }
   }
-  ADML_DEBUG << "trial " << s.result.trials.size() << ": "
-             << trial.config.to_string() << " -> "
-             << (trial.succeeded() ? trial.outcome.objective : -1.0);
   history_.push_back(trial);
   record_trial(s.result, std::move(trial));
 }

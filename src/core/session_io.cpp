@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,12 +16,8 @@ util::JsonValue value_to_json(const conf::ParamValue& v) {
         using T = std::decay_t<decltype(x)>;
         if constexpr (std::is_same_v<T, std::int64_t>) {
           return util::JsonValue(static_cast<double>(x));
-        } else if constexpr (std::is_same_v<T, double>) {
-          return util::JsonValue(x);
-        } else if constexpr (std::is_same_v<T, std::string>) {
-          return util::JsonValue(x);
         } else {
-          return util::JsonValue(x);  // bool
+          return util::JsonValue(x);
         }
       },
       v);
@@ -30,105 +25,138 @@ util::JsonValue value_to_json(const conf::ParamValue& v) {
 
 conf::ParamValue value_from_json(const conf::ParamSpec& spec,
                                  const util::JsonValue& v) {
+  const auto wrong_type = [&](const char* type) {
+    return std::invalid_argument("config: '" + spec.name() + "' must be a " +
+                                 type);
+  };
   switch (spec.kind()) {
     case conf::ParamKind::kInt:
     case conf::ParamKind::kIntChoice:
-      if (!v.is_number())
-        throw std::invalid_argument("session: expected number for " +
-                                    spec.name());
+      if (!v.is_number()) throw wrong_type("number");
       return static_cast<std::int64_t>(v.as_number());
     case conf::ParamKind::kContinuous:
-      if (!v.is_number())
-        throw std::invalid_argument("session: expected number for " +
-                                    spec.name());
+      if (!v.is_number()) throw wrong_type("number");
       return v.as_number();
     case conf::ParamKind::kCategorical:
-      if (!v.is_string())
-        throw std::invalid_argument("session: expected string for " +
-                                    spec.name());
+      if (!v.is_string()) throw wrong_type("string");
       return v.as_string();
     case conf::ParamKind::kBool:
-      if (!v.is_bool())
-        throw std::invalid_argument("session: expected bool for " +
-                                    spec.name());
+      if (!v.is_bool()) throw wrong_type("bool");
       return v.as_bool();
   }
-  throw std::logic_error("session: unreachable");
-}
-
-// Defensive accessors: session files arrive from disk and may be hand
-// edited or truncated, so every type mismatch must surface as
-// invalid_argument with field context, never as bad_variant_access.
-const util::JsonValue& require(const util::JsonValue& object,
-                               std::string_view key,
-                               const std::string& where) {
-  if (!object.is_object() || !object.contains(key))
-    throw std::invalid_argument("session: " + where + ": missing '" +
-                                std::string(key) + "'");
-  return object.at(key);
-}
-
-bool require_bool(const util::JsonValue& object, std::string_view key,
-                  const std::string& where) {
-  const util::JsonValue& v = require(object, key, where);
-  if (!v.is_bool())
-    throw std::invalid_argument("session: " + where + ": '" +
-                                std::string(key) + "' must be a bool");
-  return v.as_bool();
-}
-
-double require_number(const util::JsonValue& object, std::string_view key,
-                      const std::string& where) {
-  const util::JsonValue& v = require(object, key, where);
-  if (!v.is_number())
-    throw std::invalid_argument("session: " + where + ": '" +
-                                std::string(key) + "' must be a number");
-  return v.as_number();
-}
-
-std::string require_string(const util::JsonValue& object, std::string_view key,
-                           const std::string& where) {
-  const util::JsonValue& v = require(object, key, where);
-  if (!v.is_string())
-    throw std::invalid_argument("session: " + where + ": '" +
-                                std::string(key) + "' must be a string");
-  return v.as_string();
+  throw std::logic_error("value_from_json: unreachable");
 }
 
 }  // namespace
 
-util::JsonValue trial_to_json(const Trial& trial) {
-  util::JsonObject config;
-  const conf::ConfigSpace* space = trial.config.space();
+util::JsonValue config_to_json(const conf::Config& config) {
+  const conf::ConfigSpace* space = config.space();
   if (space == nullptr)
-    throw std::invalid_argument("trial_to_json: unbound config");
-  for (std::size_t i = 0; i < space->num_params(); ++i) {
-    config.emplace(space->param(i).name(),
-                   value_to_json(trial.config.value_at(i)));
-  }
-  util::JsonObject outcome;
-  outcome.emplace("feasible", util::JsonValue(trial.outcome.feasible));
-  outcome.emplace("aborted", util::JsonValue(trial.outcome.aborted));
-  outcome.emplace("failure", util::JsonValue(trial.outcome.failure));
-  outcome.emplace("failure_kind",
-                  util::JsonValue(to_string(trial.outcome.failure_kind)));
-  outcome.emplace("attempts", util::JsonValue(trial.outcome.attempts));
-  // Infinity is not representable in JSON; null means "no objective".
-  outcome.emplace("objective",
-                  trial.succeeded() ? util::JsonValue(trial.outcome.objective)
-                                    : util::JsonValue(nullptr));
-  outcome.emplace("projected_objective",
-                  std::isfinite(trial.outcome.projected_objective)
-                      ? util::JsonValue(trial.outcome.projected_objective)
-                      : util::JsonValue(nullptr));
-  outcome.emplace("spent_seconds",
-                  util::JsonValue(trial.outcome.spent_seconds));
-  outcome.emplace("usd_per_hour",
-                  util::JsonValue(trial.outcome.usd_per_hour));
-
+    throw std::invalid_argument("config_to_json: unbound config");
   util::JsonObject out;
-  out.emplace("config", std::move(config));
-  out.emplace("outcome", std::move(outcome));
+  for (std::size_t i = 0; i < space->num_params(); ++i) {
+    out.emplace(space->param(i).name(), value_to_json(config.value_at(i)));
+  }
+  return util::JsonValue(std::move(out));
+}
+
+conf::Config config_from_json(const util::JsonValue& value,
+                              const conf::ConfigSpace& space) {
+  if (!value.is_object())
+    throw std::invalid_argument("config: must be an object");
+  conf::Config config = space.default_config();
+  for (const auto& [name, v] : value.as_object()) {
+    if (!space.contains(name))
+      throw std::invalid_argument("config: unknown parameter '" + name + "'");
+    const std::size_t idx = space.index_of(name);
+    config.set_value_at(idx, value_from_json(space.param(idx), v));
+  }
+  space.canonicalize(config);
+  space.validate(config);
+  return config;
+}
+
+util::JsonValue outcome_to_json(const RunOutcome& outcome) {
+  util::JsonObject out;
+  out.emplace("feasible", util::JsonValue(outcome.feasible));
+  out.emplace("aborted", util::JsonValue(outcome.aborted));
+  out.emplace("failure", util::JsonValue(outcome.failure));
+  out.emplace("failure_kind",
+              util::JsonValue(to_string(outcome.failure_kind)));
+  out.emplace("attempts", util::JsonValue(outcome.attempts));
+  // Infinity is not representable in JSON; null means "no objective".
+  const bool has_objective = outcome.feasible && !outcome.aborted &&
+                             std::isfinite(outcome.objective);
+  out.emplace("objective", has_objective ? util::JsonValue(outcome.objective)
+                                         : util::JsonValue(nullptr));
+  out.emplace("projected_objective",
+              std::isfinite(outcome.projected_objective)
+                  ? util::JsonValue(outcome.projected_objective)
+                  : util::JsonValue(nullptr));
+  out.emplace("spent_seconds", util::JsonValue(outcome.spent_seconds));
+  out.emplace("usd_per_hour", util::JsonValue(outcome.usd_per_hour));
+  return util::JsonValue(std::move(out));
+}
+
+RunOutcome outcome_from_json(const util::JsonValue& value) {
+  constexpr std::string_view kWhere = "outcome";
+  if (!value.is_object())
+    throw std::invalid_argument("outcome: must be an object");
+  RunOutcome outcome;
+  outcome.feasible = util::require_bool(value, "feasible", kWhere);
+  outcome.aborted = util::require_bool(value, "aborted", kWhere);
+  outcome.failure = util::require_string(value, "failure", kWhere);
+  const util::JsonValue& objective = util::require(value, "objective", kWhere);
+  if (objective.is_number()) {
+    outcome.objective = objective.as_number();
+  } else if (!objective.is_null()) {
+    throw std::invalid_argument(
+        "outcome: 'objective' must be a number or null");
+  } else if (outcome.feasible && !outcome.aborted) {
+    // The writer emits null for a completed run only when its objective is
+    // not finite, which no reader could replay.
+    throw std::invalid_argument(
+        "outcome: a feasible, non-aborted outcome needs a numeric "
+        "'objective'");
+  }
+  outcome.spent_seconds = util::require_number(value, "spent_seconds", kWhere);
+  if (!(outcome.spent_seconds >= 0.0))
+    throw std::invalid_argument("outcome: 'spent_seconds' must be >= 0");
+  outcome.usd_per_hour = util::require_number(value, "usd_per_hour", kWhere);
+  // Fields introduced with the robustness subsystem; legacy records fall
+  // back to classifying the free-text failure string.
+  if (value.contains("failure_kind")) {
+    const std::string& kind =
+        util::require_string(value, "failure_kind", kWhere);
+    try {
+      outcome.failure_kind = failure_kind_from_string(kind);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("outcome: ") + e.what());
+    }
+  } else {
+    outcome.failure_kind = outcome.feasible
+                               ? FailureKind::kNone
+                               : classify_failure_text(outcome.failure);
+  }
+  if (value.contains("attempts")) {
+    const double attempts = util::require_number(value, "attempts", kWhere);
+    if (attempts < 1.0 || attempts != std::floor(attempts))
+      throw std::invalid_argument(
+          "outcome: 'attempts' must be an integer >= 1");
+    outcome.attempts = static_cast<int>(attempts);
+  }
+  if (value.contains("projected_objective") &&
+      !value.at("projected_objective").is_null()) {
+    outcome.projected_objective =
+        util::require_number(value, "projected_objective", kWhere);
+  }
+  return outcome;
+}
+
+util::JsonValue trial_to_json(const Trial& trial) {
+  util::JsonObject out;
+  out.emplace("config", config_to_json(trial.config));
+  out.emplace("outcome", outcome_to_json(trial.outcome));
   // The tuner stamps both indices on every trial it ingests; trials from
   // elsewhere leave them unassigned and omit the fields.
   if (trial.proposal_index >= 0) {
@@ -144,67 +172,15 @@ util::JsonValue trial_to_json(const Trial& trial) {
 
 Trial trial_from_json(const util::JsonValue& value,
                       const conf::ConfigSpace& space) {
-  if (!value.is_object())
-    throw std::invalid_argument("session: trial record must be an object");
-  const util::JsonValue& config_value = require(value, "config", "trial");
-  if (!config_value.is_object())
-    throw std::invalid_argument("session: trial 'config' must be an object");
-  conf::Config config = space.default_config();
-  for (const auto& [name, v] : config_value.as_object()) {
-    if (!space.contains(name))
-      throw std::invalid_argument("session: unknown parameter " + name);
-    const std::size_t idx = space.index_of(name);
-    config.set_value_at(idx, value_from_json(space.param(idx), v));
-  }
-  space.canonicalize(config);
-  space.validate(config);
-
   Trial trial;
-  trial.config = std::move(config);
-  const util::JsonValue& outcome = require(value, "outcome", "trial");
-  trial.outcome.feasible = require_bool(outcome, "feasible", "outcome");
-  trial.outcome.aborted = require_bool(outcome, "aborted", "outcome");
-  trial.outcome.failure = require_string(outcome, "failure", "outcome");
-  const util::JsonValue& objective = require(outcome, "objective", "outcome");
-  if (objective.is_null()) {
-    trial.outcome.objective = std::numeric_limits<double>::infinity();
-  } else if (objective.is_number()) {
-    trial.outcome.objective = objective.as_number();
-  } else {
-    throw std::invalid_argument(
-        "session: outcome: 'objective' must be a number or null");
-  }
-  trial.outcome.spent_seconds =
-      require_number(outcome, "spent_seconds", "outcome");
-  trial.outcome.usd_per_hour =
-      require_number(outcome, "usd_per_hour", "outcome");
-  // Fields introduced with the robustness subsystem; legacy records fall
-  // back to classifying the free-text failure string.
-  if (outcome.contains("failure_kind")) {
-    trial.outcome.failure_kind =
-        failure_kind_from_string(require_string(outcome, "failure_kind",
-                                                "outcome"));
-  } else {
-    trial.outcome.failure_kind =
-        trial.outcome.feasible ? FailureKind::kNone
-                               : classify_failure_text(trial.outcome.failure);
-  }
-  if (outcome.contains("attempts")) {
-    const double attempts = require_number(outcome, "attempts", "outcome");
-    if (attempts < 1.0)
-      throw std::invalid_argument("session: outcome: 'attempts' must be >= 1");
-    trial.outcome.attempts = static_cast<int>(attempts);
-  }
-  if (outcome.contains("projected_objective") &&
-      !outcome.at("projected_objective").is_null()) {
-    trial.outcome.projected_objective =
-        require_number(outcome, "projected_objective", "outcome");
-  }
+  trial.config =
+      config_from_json(util::require(value, "config", "trial"), space);
+  trial.outcome = outcome_from_json(util::require(value, "outcome", "trial"));
   const auto index_field = [&](std::string_view key) -> std::int64_t {
     if (!value.contains(key)) return -1;
-    const double index = require_number(value, key, "trial");
+    const double index = util::require_number(value, key, "trial");
     if (index < 0.0)
-      throw std::invalid_argument("session: trial: '" + std::string(key) +
+      throw std::invalid_argument("trial: '" + std::string(key) +
                                   "' must be >= 0");
     return static_cast<std::int64_t>(index);
   };
@@ -293,9 +269,9 @@ JournalHeader parse_header(const std::string& line, const std::string& path) {
   }
   JournalHeader header;
   header.seed = static_cast<std::uint64_t>(
-      require_number(value, "seed", "journal header"));
+      util::require_number(value, "seed", "journal header"));
   header.num_params = static_cast<std::size_t>(
-      require_number(value, "num_params", "journal header"));
+      util::require_number(value, "num_params", "journal header"));
   return header;
 }
 

@@ -1,6 +1,11 @@
-// Tuning-session persistence and the crash-safe trial journal.
+// The trial record codec, tuning-session persistence and the crash-safe
+// trial journal.
 //
-// Two on-disk forms share one trial record schema:
+// One JSON schema for configurations and run outcomes, coded once here:
+// every journal line and session-file trial embeds it, and the service
+// wire carries the same config and outcome objects (service/ only maps the
+// std::invalid_argument these functions throw onto typed protocol codes).
+// Two on-disk forms embed the trial record:
 //
 //   - Session files ("autodml.trials.v1"): a pretty-printed JSON document
 //     with a "trials" array, written atomically (temp file + fsync +
@@ -37,7 +42,28 @@
 
 namespace autodml::core {
 
-/// One trial <-> one JSON object (shared by sessions and journals).
+// ---- Trial record codec ----------------------------------------------------
+// Parsers throw std::invalid_argument naming the offending field.
+
+/// Name -> value object, every parameter included (inactive conditionals
+/// carry their canonicalized defaults).
+util::JsonValue config_to_json(const conf::Config& config);
+/// Parse against `space`; unknown names and ill-typed or out-of-range
+/// values throw.
+conf::Config config_from_json(const util::JsonValue& value,
+                              const conf::ConfigSpace& space);
+
+/// feasible/aborted/failure/objective/spent_seconds/usd_per_hour are
+/// required, failure_kind/attempts/projected_objective optional.
+/// "objective" is null unless the run is feasible, not aborted and finite;
+/// a feasible, non-aborted outcome without a numeric objective is
+/// rejected, as are spent_seconds < 0 and attempts that are not an integer
+/// >= 1.
+util::JsonValue outcome_to_json(const RunOutcome& outcome);
+RunOutcome outcome_from_json(const util::JsonValue& value);
+
+/// One trial <-> one JSON object: {"config", "outcome", "proposal_index"?,
+/// "ingested_at_ask"?} (shared by sessions and journals).
 util::JsonValue trial_to_json(const Trial& trial);
 Trial trial_from_json(const util::JsonValue& value,
                       const conf::ConfigSpace& space);
@@ -100,13 +126,8 @@ class TrialJournal {
 
   void append(const Trial& trial) ADML_EXCLUDES(mu_);
 
-  std::string path() const ADML_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return appender_.path();
-  }
-
  private:
-  mutable util::Mutex mu_;
+  util::Mutex mu_;
   util::DurableAppender appender_ ADML_GUARDED_BY(mu_);
 };
 

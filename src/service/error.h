@@ -43,4 +43,16 @@ class ServiceError : public std::runtime_error {
   std::string code_;
 };
 
+/// Runs `parse` (a call into the shared codecs, util/json and
+/// core/session_io) and rethrows the std::invalid_argument it raises as a
+/// ServiceError with `code`.
+template <typename Parse>
+decltype(auto) with_code(const char* code, Parse&& parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    throw ServiceError(code, e.what());
+  }
+}
+
 }  // namespace autodml::service

@@ -12,15 +12,17 @@
 // Ops: create-session, suggest, report, status, close-session, ping,
 // stats, shutdown — grammar and a full transcript in README.md §Service.
 // This header holds the pieces shared by the session manager, the tests
-// and the CLI: request parsing, response framing, and the RunOutcome wire
-// form (the journal's outcome schema, minus the server-owned config).
+// and the CLI: request parsing, response framing, typed request-field
+// access, and the RunOutcome wire form. The outcome codec is the journal
+// record's (core/session_io); this layer only maps its errors onto the
+// protocol's typed codes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "core/tuner_types.h"
+#include "core/session_io.h"
 #include "util/json.h"
 
 namespace autodml::service {
@@ -45,18 +47,18 @@ std::string ok_line(const Request& request, util::JsonObject fields);
 std::string error_line(const Request& request, const std::string& code,
                        const std::string& detail);
 
-/// RunOutcome <-> wire JSON. The schema is the journal record's "outcome"
-/// object (session_io): feasible/aborted/failure/objective/spent_seconds/
-/// usd_per_hour required, failure_kind/attempts/projected_objective
-/// optional. Parsing throws ServiceError(invalid-outcome).
-util::JsonValue outcome_to_json(const core::RunOutcome& outcome);
+/// RunOutcome <-> wire JSON: the journal record's "outcome" object
+/// (core/session_io). Parsing throws ServiceError(invalid-outcome).
+using core::outcome_to_json;
 core::RunOutcome outcome_from_json(const util::JsonValue& value);
 
-// Shared defensive accessors for request fields; throw
+// util/json's typed accessors for request fields; throw
 // ServiceError(bad-request) naming the field.
 const util::JsonValue& require_field(const util::JsonValue& object,
                                      std::string_view key,
                                      const std::string& where);
+bool require_bool_field(const util::JsonValue& object, std::string_view key,
+                        const std::string& where);
 std::string require_string_field(const util::JsonValue& object,
                                  std::string_view key,
                                  const std::string& where);

@@ -42,8 +42,6 @@ class SocketServer {
   /// Asynchronously requests serve() to return (idempotent, thread-safe).
   void stop();
 
-  const std::string& socket_path() const { return options_.socket_path; }
-
  private:
   void handle_connection(int fd);
   bool stopping() const ADML_EXCLUDES(mu_);

@@ -83,9 +83,6 @@ class TuningSession {
   /// Read-only snapshot: trials, pending, budget, incumbent, done.
   util::JsonObject status() const;
 
-  /// Trials recovered from the journal during construction.
-  std::size_t replayed() const { return replayed_; }
-
  private:
   util::JsonObject status_fields() const;
 

@@ -59,13 +59,9 @@ SessionConfig parse_session_config(const Request& request,
   if (body.contains("target_metric"))
     config.target_metric =
         require_number_field(body, "target_metric", "request");
-  if (body.contains("objective_is_cost")) {
-    const JsonValue& v = body.at("objective_is_cost");
-    if (!v.is_bool())
-      throw ServiceError(errc::kBadRequest,
-                         "request: 'objective_is_cost' must be a bool");
-    config.objective_is_cost = v.as_bool();
-  }
+  if (body.contains("objective_is_cost"))
+    config.objective_is_cost =
+        require_bool_field(body, "objective_is_cost", "request");
   if (!body.contains("options")) return config;
 
   const JsonValue& options = body.at("options");
@@ -102,11 +98,7 @@ SessionConfig parse_session_config(const Request& request,
                            "options: 'max_spent_seconds' must be > 0");
       bo.max_spent_seconds = s;
     } else if (key == "early_term") {
-      const JsonValue& v = options.at(key);
-      if (!v.is_bool())
-        throw ServiceError(errc::kBadRequest,
-                           "options: 'early_term' must be a bool");
-      bo.early_term.enabled = v.as_bool();
+      bo.early_term.enabled = require_bool_field(options, key, "options");
     } else if (key == "gp_restarts") {
       bo.surrogate.gp.restarts = positive_int_option(options, key);
     } else if (key == "gp_adam_iterations") {

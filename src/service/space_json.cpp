@@ -1,6 +1,8 @@
 #include "service/space_json.h"
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,114 +16,69 @@ using util::JsonArray;
 using util::JsonObject;
 using util::JsonValue;
 
-[[noreturn]] void bad_space(const std::string& detail) {
-  throw ServiceError(errc::kInvalidSpace, "space: " + detail);
-}
-
-const JsonValue& require(const JsonValue& object, std::string_view key,
-                         const std::string& where) {
-  if (!object.is_object() || !object.contains(key))
-    bad_space(where + ": missing '" + std::string(key) + "'");
-  return object.at(key);
-}
-
-std::string require_string(const JsonValue& object, std::string_view key,
-                           const std::string& where) {
-  const JsonValue& v = require(object, key, where);
-  if (!v.is_string())
-    bad_space(where + ": '" + std::string(key) + "' must be a string");
-  return v.as_string();
-}
-
-double require_number(const JsonValue& object, std::string_view key,
-                      const std::string& where) {
-  const JsonValue& v = require(object, key, where);
-  if (!v.is_number())
-    bad_space(where + ": '" + std::string(key) + "' must be a number");
-  return v.as_number();
-}
-
-std::int64_t require_int(const JsonValue& object, std::string_view key,
-                         const std::string& where) {
-  const double d = require_number(object, key, where);
-  if (d != std::floor(d))
-    bad_space(where + ": '" + std::string(key) + "' must be an integer");
-  return static_cast<std::int64_t>(d);
-}
-
 bool optional_bool(const JsonValue& object, std::string_view key,
                    const std::string& where) {
-  if (!object.contains(key)) return false;
-  const JsonValue& v = object.at(key);
-  if (!v.is_bool())
-    bad_space(where + ": '" + std::string(key) + "' must be a bool");
-  return v.as_bool();
+  return object.contains(key) && util::require_bool(object, key, where);
 }
 
-JsonValue value_to_json(const conf::ParamValue& v) {
-  return std::visit(
-      [](const auto& x) -> JsonValue {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, std::int64_t>) {
-          return JsonValue(static_cast<double>(x));
-        } else {
-          return JsonValue(x);
-        }
-      },
-      v);
-}
-
+/// Throws std::invalid_argument; space_from_json maps it to invalid-space.
 conf::ParamSpec spec_from_json(const JsonValue& value) {
-  if (!value.is_object()) bad_space("every param must be an object");
-  const std::string name = require_string(value, "name", "param");
+  using std::invalid_argument;
+  if (!value.is_object())
+    throw invalid_argument("every param must be an object");
+  const std::string name = util::require_string(value, "name", "param");
   const std::string where = "param '" + name + "'";
-  const std::string kind = require_string(value, "kind", where);
+  const std::string kind = util::require_string(value, "kind", where);
 
   std::optional<conf::ParamSpec> spec;
   if (kind == "int") {
-    spec = conf::ParamSpec::integer(name, require_int(value, "lo", where),
-                                    require_int(value, "hi", where),
+    spec = conf::ParamSpec::integer(name, util::require_int(value, "lo", where),
+                                    util::require_int(value, "hi", where),
                                     optional_bool(value, "log", where));
   } else if (kind == "int-choice") {
-    const JsonValue& choices = require(value, "choices", where);
-    if (!choices.is_array()) bad_space(where + ": 'choices' must be an array");
+    const JsonValue& choices = util::require(value, "choices", where);
+    if (!choices.is_array())
+      throw invalid_argument(where + ": 'choices' must be an array");
     std::vector<std::int64_t> menu;
     for (const JsonValue& c : choices.as_array()) {
       if (!c.is_number() || c.as_number() != std::floor(c.as_number()))
-        bad_space(where + ": every choice must be an integer");
+        throw invalid_argument(where + ": every choice must be an integer");
       menu.push_back(static_cast<std::int64_t>(c.as_number()));
     }
     spec = conf::ParamSpec::int_choice(name, std::move(menu));
   } else if (kind == "continuous") {
-    spec = conf::ParamSpec::continuous(name, require_number(value, "lo", where),
-                                       require_number(value, "hi", where),
-                                       optional_bool(value, "log", where));
+    spec = conf::ParamSpec::continuous(
+        name, util::require_number(value, "lo", where),
+        util::require_number(value, "hi", where),
+        optional_bool(value, "log", where));
   } else if (kind == "categorical") {
-    const JsonValue& cats = require(value, "categories", where);
+    const JsonValue& cats = util::require(value, "categories", where);
     if (!cats.is_array())
-      bad_space(where + ": 'categories' must be an array");
+      throw invalid_argument(where + ": 'categories' must be an array");
     std::vector<std::string> categories;
     for (const JsonValue& c : cats.as_array()) {
       if (!c.is_string())
-        bad_space(where + ": every category must be a string");
+        throw invalid_argument(where + ": every category must be a string");
       categories.push_back(c.as_string());
     }
     spec = conf::ParamSpec::categorical(name, std::move(categories));
   } else if (kind == "bool") {
     spec = conf::ParamSpec::boolean(name);
   } else {
-    bad_space(where + ": unknown kind '" + kind + "'");
+    throw invalid_argument(where + ": unknown kind '" + kind + "'");
   }
 
   if (value.contains("only_when")) {
     const JsonValue& cond = value.at("only_when");
     const std::string cwhere = where + ": only_when";
-    const std::string parent = require_string(cond, "parent", cwhere);
-    const JsonValue& values = require(cond, "values", cwhere);
-    if (!values.is_array()) bad_space(cwhere + ": 'values' must be an array");
+    const std::string parent = util::require_string(cond, "parent", cwhere);
+    const JsonValue& values = util::require(cond, "values", cwhere);
+    if (!values.is_array())
+      throw invalid_argument(cwhere + ": 'values' must be an array");
     std::vector<std::string> parent_values;
     for (const JsonValue& v : values.as_array()) {
-      if (!v.is_string()) bad_space(cwhere + ": every value must be a string");
+      if (!v.is_string())
+        throw invalid_argument(cwhere + ": every value must be a string");
       parent_values.push_back(v.as_string());
     }
     spec->only_when(parent, std::move(parent_values));
@@ -188,85 +145,26 @@ JsonValue space_to_json(const conf::ConfigSpace& space) {
 }
 
 conf::ConfigSpace space_from_json(const JsonValue& value) {
-  if (!value.is_object() || !value.contains("params"))
-    bad_space("must be an object with a 'params' array");
-  const JsonValue& params = value.at("params");
-  if (!params.is_array() || params.as_array().empty())
-    bad_space("'params' must be a non-empty array");
-  conf::ConfigSpace space;
-  for (const JsonValue& p : params.as_array()) {
-    try {
-      space.add(spec_from_json(p));
-    } catch (const ServiceError&) {
-      throw;
-    } catch (const std::exception& e) {
-      // ConfigSpace::add / ParamSpec factories reject inverted bounds,
-      // duplicate names, bad parents, ... — all client errors.
-      bad_space(e.what());
-    }
+  try {
+    if (!value.is_object() || !value.contains("params"))
+      throw std::invalid_argument("must be an object with a 'params' array");
+    const JsonValue& params = value.at("params");
+    if (!params.is_array() || params.as_array().empty())
+      throw std::invalid_argument("'params' must be a non-empty array");
+    conf::ConfigSpace space;
+    // ConfigSpace::add and the ParamSpec factories reject inverted bounds,
+    // duplicate names, bad parents, ... — all client errors too.
+    for (const JsonValue& p : params.as_array()) space.add(spec_from_json(p));
+    return space;
+  } catch (const std::invalid_argument& e) {
+    throw ServiceError(errc::kInvalidSpace, std::string("space: ") + e.what());
   }
-  return space;
-}
-
-JsonValue config_to_json(const conf::Config& config) {
-  const conf::ConfigSpace* space = config.space();
-  if (space == nullptr)
-    throw ServiceError(errc::kInternal, "config_to_json: unbound config");
-  JsonObject out;
-  for (std::size_t i = 0; i < space->num_params(); ++i) {
-    out.emplace(space->param(i).name(), value_to_json(config.value_at(i)));
-  }
-  return JsonValue(std::move(out));
 }
 
 conf::Config config_from_json(const JsonValue& value,
                               const conf::ConfigSpace& space) {
-  if (!value.is_object())
-    throw ServiceError(errc::kBadRequest, "config must be an object");
-  conf::Config config = space.default_config();
-  for (const auto& [name, v] : value.as_object()) {
-    if (!space.contains(name))
-      throw ServiceError(errc::kBadRequest,
-                         "config: unknown parameter '" + name + "'");
-    const std::size_t idx = space.index_of(name);
-    const conf::ParamSpec& spec = space.param(idx);
-    conf::ParamValue pv;
-    switch (spec.kind()) {
-      case conf::ParamKind::kInt:
-      case conf::ParamKind::kIntChoice:
-        if (!v.is_number())
-          throw ServiceError(errc::kBadRequest,
-                             "config: '" + name + "' must be a number");
-        pv = static_cast<std::int64_t>(v.as_number());
-        break;
-      case conf::ParamKind::kContinuous:
-        if (!v.is_number())
-          throw ServiceError(errc::kBadRequest,
-                             "config: '" + name + "' must be a number");
-        pv = v.as_number();
-        break;
-      case conf::ParamKind::kCategorical:
-        if (!v.is_string())
-          throw ServiceError(errc::kBadRequest,
-                             "config: '" + name + "' must be a string");
-        pv = v.as_string();
-        break;
-      case conf::ParamKind::kBool:
-        if (!v.is_bool())
-          throw ServiceError(errc::kBadRequest,
-                             "config: '" + name + "' must be a bool");
-        pv = v.as_bool();
-        break;
-    }
-    config.set_value_at(idx, std::move(pv));
-  }
-  space.canonicalize(config);
-  try {
-    space.validate(config);
-  } catch (const std::invalid_argument& e) {
-    throw ServiceError(errc::kBadRequest, std::string("config: ") + e.what());
-  }
-  return config;
+  return with_code(errc::kBadRequest,
+                   [&] { return core::config_from_json(value, space); });
 }
 
 }  // namespace autodml::service

@@ -14,14 +14,18 @@
 //              cond?}
 //           | {"name": s, "kind": "bool", cond?}
 //   cond   := "only_when": {"parent": s, "values": [s, ...]}
-//   config := {"<param name>": value, ...}   (same value forms as journals)
+//   config := {"<param name>": value, ...}
 //
-// Malformed space documents raise ServiceError("invalid-space") with the
-// offending parameter named; the round trip space -> JSON -> space is
-// exact (kinds, bounds, menus, conditions).
+// The space codec lives here: only the service ships spaces. Configs use
+// the journal's codec (core/session_io); this layer only maps its errors
+// onto the protocol's typed codes. Malformed space documents raise
+// ServiceError("invalid-space") with the offending parameter named; the
+// round trip space -> JSON -> space is exact (kinds, bounds, menus,
+// conditions).
 #pragma once
 
 #include "config/config_space.h"
+#include "core/session_io.h"
 #include "util/json.h"
 
 namespace autodml::service {
@@ -32,12 +36,11 @@ util::JsonValue space_to_json(const conf::ConfigSpace& space);
 /// on malformed documents (ConfigSpace::add rejections included).
 conf::ConfigSpace space_from_json(const util::JsonValue& value);
 
-/// Name -> value object, every parameter included (inactive conditionals
-/// carry their canonicalized defaults, exactly like journal records).
-util::JsonValue config_to_json(const conf::Config& config);
+/// Name -> value object, exactly as in journal records.
+using core::config_to_json;
 
-/// Parse a config against `space`; unknown names and ill-typed or
-/// out-of-range values throw ServiceError(bad-request).
+/// core::config_from_json; its rejections (unknown names, ill-typed or
+/// out-of-range values) throw ServiceError(bad-request).
 conf::Config config_from_json(const util::JsonValue& value,
                               const conf::ConfigSpace& space);
 

@@ -145,7 +145,6 @@ class StarFabric {
   std::size_t add_node(double nic_bps);
 
   std::size_t num_nodes() const { return uplink_.size(); }
-  LinkId uplink(std::size_t node) const { return uplink_.at(node); }
   LinkId downlink(std::size_t node) const { return downlink_.at(node); }
 
   /// Transfers `bytes` from src to dst: a fixed propagation/handshake

@@ -151,8 +151,6 @@ class DurableAppender {
   /// torn partial record at the tail, which journal loading tolerates.
   void append(std::string_view record);
 
-  const std::string& path() const { return path_; }
-
  private:
   std::string path_;
   int fd_ = -1;

@@ -319,6 +319,12 @@ void dump_into(std::string& out, const JsonValue& v, int indent, int depth) {
   }
 }
 
+[[noreturn]] void wrong_type(std::string_view where, std::string_view key,
+                             std::string_view type) {
+  throw std::invalid_argument(std::string(where) + ": '" + std::string(key) +
+                              "' must be " + std::string(type));
+}
+
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
@@ -330,6 +336,46 @@ std::string dump_json(const JsonValue& value, int indent) {
   std::string out;
   dump_into(out, value, indent, 0);
   return out;
+}
+
+const JsonValue& require(const JsonValue& object, std::string_view key,
+                         std::string_view where) {
+  if (object.is_object()) {
+    const JsonObject& members = object.as_object();
+    const auto it = members.find(std::string(key));
+    if (it != members.end()) return it->second;
+  }
+  throw std::invalid_argument(std::string(where) + ": missing '" +
+                              std::string(key) + "'");
+}
+
+bool require_bool(const JsonValue& object, std::string_view key,
+                  std::string_view where) {
+  const JsonValue& v = require(object, key, where);
+  if (!v.is_bool()) wrong_type(where, key, "a bool");
+  return v.as_bool();
+}
+
+double require_number(const JsonValue& object, std::string_view key,
+                      std::string_view where) {
+  const JsonValue& v = require(object, key, where);
+  if (!v.is_number()) wrong_type(where, key, "a number");
+  return v.as_number();
+}
+
+std::int64_t require_int(const JsonValue& object, std::string_view key,
+                         std::string_view where) {
+  const double d = require_number(object, key, where);
+  if (d != std::floor(d)) wrong_type(where, key, "an integer");
+  return static_cast<std::int64_t>(d);
+}
+
+const std::string& require_string(const JsonValue& object,
+                                  std::string_view key,
+                                  std::string_view where) {
+  const JsonValue& v = require(object, key, where);
+  if (!v.is_string()) wrong_type(where, key, "a string");
+  return v.as_string();
 }
 
 }  // namespace autodml::util

@@ -1,12 +1,14 @@
-// Minimal JSON value, parser, and serializer.
+// Minimal JSON value, parser, serializer, and typed member access.
 //
 // Exists so tuning sessions can be persisted and reloaded (core/session_io)
-// without dragging in an external dependency. Supports the full JSON data
-// model except: numbers are always doubles (integers round-trip exactly up
-// to 2^53, far beyond any knob in this library), and \uXXXX escapes outside
-// the ASCII range are passed through verbatim.
+// and served over the wire (service/) without dragging in an external
+// dependency. Supports the full JSON data model except: numbers are always
+// doubles (integers round-trip exactly up to 2^53, far beyond any knob in
+// this library), and \uXXXX escapes outside the ASCII range are passed
+// through verbatim.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -67,5 +69,23 @@ JsonValue parse_json(std::string_view text);
 
 /// Serialize; `indent` > 0 pretty-prints with that many spaces per level.
 std::string dump_json(const JsonValue& value, int indent = 0);
+
+// Typed member access for documents that arrive from outside (files,
+// sockets): a missing member or a type mismatch throws
+// std::invalid_argument "<where>: missing '<key>'" or "<where>: '<key>'
+// must be ...", never std::bad_variant_access. A non-object `object` has
+// no members.
+const JsonValue& require(const JsonValue& object, std::string_view key,
+                         std::string_view where);
+bool require_bool(const JsonValue& object, std::string_view key,
+                  std::string_view where);
+double require_number(const JsonValue& object, std::string_view key,
+                      std::string_view where);
+/// A number with no fractional part.
+std::int64_t require_int(const JsonValue& object, std::string_view key,
+                         std::string_view where);
+const std::string& require_string(const JsonValue& object,
+                                  std::string_view key,
+                                  std::string_view where);
 
 }  // namespace autodml::util

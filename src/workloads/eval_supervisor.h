@@ -88,7 +88,6 @@ class EvalSupervisor {
     ++eval_counter_;
   }
 
-  const RetryPolicy& policy() const { return policy_; }
   Evaluator& evaluator() { return *evaluator_; }
   std::size_t num_evaluations() const ADML_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);

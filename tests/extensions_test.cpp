@@ -286,6 +286,23 @@ TEST(SessionIo, RejectsMalformedDocuments) {
                  "objective":5,"spent_seconds":5,"usd_per_hour":1}}]})";
   EXPECT_THROW(core::trials_from_json(doc, objective.space()),
                std::invalid_argument);
+  // Outcomes the wire rejects are rejected on load too: a negative spend,
+  // a fractional attempt count, a completed run with no objective.
+  for (const char* outcome :
+       {R"("feasible":false,"aborted":false,"failure":"OOM",)"
+        R"("objective":null,"spent_seconds":-1,"usd_per_hour":1)",
+        R"("feasible":false,"aborted":false,"failure":"OOM",)"
+        R"("objective":null,"spent_seconds":5,"usd_per_hour":1,)"
+        R"("attempts":1.5)",
+        R"("feasible":true,"aborted":false,"failure":"",)"
+        R"("objective":null,"spent_seconds":5,"usd_per_hour":1)"}) {
+    EXPECT_THROW(core::trials_from_json(
+                     std::string(R"({"trials":[{"config":{},"outcome":{)") +
+                         outcome + "}}]}",
+                     objective.space()),
+                 std::invalid_argument)
+        << outcome;
+  }
 }
 
 TEST(SessionIo, RejectsOutOfRangeValues) {

@@ -197,6 +197,43 @@ TEST(ServiceProtocol, InvalidOutcomesAreRejectedBeforeMutation) {
                 ok_outcome(4.0) + "}");
 }
 
+TEST(ServiceProtocol, CompletedOutcomeWithoutObjectiveIsRejected) {
+  // Regression: a feasible, non-aborted report with a null objective was
+  // accepted and journaled with an unparseable objective, so a later
+  // create-session on that journal failed on a corrupt record. It is an
+  // invalid outcome; the session and its journal stay untouched.
+  const std::string journal =
+      ::testing::TempDir() + "/service_null_objective.journal";
+  std::remove(journal.c_str());
+  const std::string extra = R"("journal":")" + journal + R"(",)";
+  const auto report = [](int ticket, const std::string& outcome) {
+    return R"({"op":"report","session":"s","ticket":)" +
+           std::to_string(ticket) + R"(,"outcome":)" + outcome + "}";
+  };
+  {
+    SessionManager manager;
+    expect_ok(manager, create_line("s", extra));
+    expect_ok(manager, R"({"op":"suggest","session":"s"})");
+    expect_error(manager,
+                 report(0, R"({"feasible":true,"aborted":false,"failure":"",)"
+                           R"("objective":null,"spent_seconds":1,)"
+                           R"("usd_per_hour":1})"),
+                 errc::kInvalidOutcome);
+    const JsonValue status =
+        expect_ok(manager, R"({"op":"status","session":"s"})");
+    EXPECT_EQ(status.at("trials").as_number(), 0.0);
+    EXPECT_EQ(status.at("pending").as_number(), 1.0);
+    expect_ok(manager, report(0, ok_outcome(4.0)));
+    expect_ok(manager, R"({"op":"suggest","session":"s"})");
+    expect_ok(manager, report(1, ok_outcome(3.0)));
+    expect_ok(manager, R"({"op":"close-session","session":"s"})");
+  }
+  SessionManager manager;
+  const JsonValue resumed = expect_ok(manager, create_line("s", extra));
+  EXPECT_EQ(resumed.at("replayed").as_number(), 2.0);
+  std::remove(journal.c_str());
+}
+
 TEST(ServiceProtocol, DoubleCloseSessionIsTyped) {
   SessionManager manager;
   expect_ok(manager, create_line("s"));
@@ -307,7 +344,9 @@ TEST(ServiceProtocol, FuzzedFramesNeverCrashAndAlwaysAnswerJson) {
       R"({"op":"stats"})",
   };
   util::Rng rng(20240808);
-  const std::string garbage = R"(" {}[],:truefalsenull0.5e-)";
+  // The alphabet includes a NUL byte; the explicit length keeps it.
+  constexpr char kGarbage[] = "\"\0{}[],:truefalsenull0.5e-";
+  const std::string garbage(kGarbage, sizeof(kGarbage) - 1);
   for (int iteration = 0; iteration < 2000; ++iteration) {
     std::string frame =
         corpus[static_cast<std::size_t>(rng.uniform_int(
