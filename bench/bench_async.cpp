@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     row["wall_ms"] = r.wall_ms;
     row["speedup_vs_q1"] = r.speedup;
     row["best_objective"] = r.best_objective;
-    rows.push_back(util::JsonValue(std::move(row)));
+    rows.emplace_back(std::move(row));
     table.push_back({std::to_string(r.q), util::fmt(r.wall_ms, 4),
                      util::fmt(r.speedup, 3), util::fmt(r.best_objective, 4)});
   }

@@ -13,20 +13,18 @@
 //       plus the RFF posterior-mean error vs exact on held-out probes;
 //   (d) per-trial hyperopt against the every-k + evidence-triggered refit
 //       schedule, at n = 256;
-//   (e) serial against thread-pool acquisition scoring (n <= 1024),
-//       asserting the parallel proposal is identical to the serial one;
-//   (f) GP hyperparameter fitting alone: one GP fitted on n = 3..30 points
+//   (e) GP hyperparameter fitting alone: one GP fitted on n = 3..30 points
 //       at d = 19, the sizes a tuning session's hyperopt rounds run at,
 //       for both kernels, in fits/s and likelihood evaluations/s (thread
 //       CPU time), with the fitted hyperparameters hashed and checked
 //       against the hash recorded for the reference implementation.
 // Results land in BENCH_inner_loop.json to extend the repo's performance
 // trajectory; CI runs `--smoke` and uploads the file as an artifact.
-// Non-zero exit when the parallel proposal diverges, the RFF accuracy
-// gate fails or a fitted-hyperparameter hash differs from its reference.
+// Non-zero exit when the RFF accuracy gate fails or a fitted-hyperparameter
+// hash differs from its reference.
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
-//                         [--reps=N] [--threads=K] [--rff-features=M]
+//                         [--reps=N] [--rff-features=M]
 #include <time.h>
 
 #include <algorithm>
@@ -36,11 +34,9 @@
 #include <iostream>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "config/config_space.h"
-#include "core/acquisition_optimizer.h"
 #include "core/surrogate.h"
 #include "core/tuner_types.h"
 #include "gp/gp.h"
@@ -52,10 +48,8 @@
 #include "util/fs.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 using namespace autodml;
 
@@ -137,15 +131,11 @@ double mean_ms(const std::vector<double>& ms) {
 
 struct SizeResult {
   std::size_t n = 0;
-  // Exact surrogate full-vs-incremental and proposal columns (legacy,
-  // gated to the sizes where the O(n^3) cold path stays affordable).
+  // Exact surrogate full-vs-incremental columns (legacy, gated to the
+  // sizes where the O(n^3) cold path stays affordable).
   bool legacy_measured = false;
   double surrogate_full_ms = 0.0;
   double surrogate_incr_ms = 0.0;
-  bool propose_measured = false;
-  double propose_serial_ms = 0.0;
-  double propose_parallel_ms = 0.0;
-  bool propose_identical = true;
   // Exact GP refit vs rank-1 append (all sizes).
   double gp_refit_ms = 0.0;
   double gp_append_ms = 0.0;
@@ -159,8 +149,7 @@ struct SizeResult {
   double rff_mean_err_std = 0.0;
 };
 
-SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
-                   util::ThreadPool& pool) {
+SizeResult measure(std::size_t n, int reps, int rff_features) {
   const conf::ConfigSpace space = make_space();
   const std::vector<core::Trial> history =
       make_history(space, n + static_cast<std::size_t>(reps), 1000 + n);
@@ -290,8 +279,7 @@ SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
       gp::GaussianProcess exact(std::make_unique<gp::Matern52Ard>(kDim),
                                 gp_options);
       exact.refit(x, y);
-      const double sd = util::stddev(y);
-      const double y_scale = sd > 1e-12 ? sd : 1.0;
+      const double y_scale = gp::target_scale(y);
       util::Rng probe_rng(7);
       double err_sum = 0.0;
       constexpr int kProbes = 16;
@@ -318,33 +306,6 @@ SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
     out.rff_append_ms = mean_ms(append_ms);
   }
 
-  // ---- acquisition proposal: serial vs pooled, identical winner ----
-  if (n <= 1024) {
-    out.propose_measured = true;
-    core::SurrogateModel model(space, fixed_hyper_options(), 1);
-    const auto span = std::span(history).subspan(0, n);
-    model.update(span);
-    core::AcqOptimizerOptions serial_options;
-    serial_options.random_candidates = candidates;
-    core::AcqOptimizerOptions pooled_options = serial_options;
-    pooled_options.pool = &pool;
-
-    std::vector<double> serial_ms, parallel_ms;
-    for (int r = 0; r < reps; ++r) {
-      util::Rng rng_a(77 + r), rng_b(77 + r);
-      util::Stopwatch watch;
-      const auto a = core::propose_candidate(
-          model, core::AcquisitionKind::kLogEi, span, rng_a, serial_options);
-      serial_ms.push_back(watch.elapsed_ms());
-      watch.reset();
-      const auto b = core::propose_candidate(
-          model, core::AcquisitionKind::kLogEi, span, rng_b, pooled_options);
-      parallel_ms.push_back(watch.elapsed_ms());
-      if (!a || !b || !(*a == *b)) out.propose_identical = false;
-    }
-    out.propose_serial_ms = mean_ms(serial_ms);
-    out.propose_parallel_ms = mean_ms(parallel_ms);
-  }
   return out;
 }
 
@@ -376,7 +337,7 @@ double measure_policy_ms(const conf::ConfigSpace& space,
   return watch.elapsed_ms();
 }
 
-// ---- (f) hyperparameter fitting alone ----
+// ---- (e) hyperparameter fitting alone ----
 
 constexpr std::size_t kLmlDim = 19;
 constexpr std::size_t kLmlMaxN = 30;
@@ -484,7 +445,7 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Runs section (f) for both kernels; false when a hash differs from its
+/// Runs section (e) for both kernels; false when a hash differs from its
 /// reference.
 bool lml_section(int reps, util::JsonObject& doc) {
   const std::vector<FitSequenceResult> results = {
@@ -514,7 +475,7 @@ bool lml_section(int reps, util::JsonObject& doc) {
     row["lml_evals_per_s"] = r.lml_evals_per_s;
     row["hash"] = hex64(r.hash);
     row["hash_matches_reference"] = match;
-    rows.push_back(util::JsonValue(std::move(row)));
+    rows.emplace_back(std::move(row));
   }
   util::JsonObject section;
   section["dim"] = static_cast<double>(kLmlDim);
@@ -531,13 +492,8 @@ int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const bool smoke = args.get_bool("smoke", false) || args.has("smoke");
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 3 : 8));
-  const int candidates =
-      static_cast<int>(args.get_int("candidates", smoke ? 256 : 512));
   const int rff_features =
       static_cast<int>(args.get_int("rff-features", 256));
-  const std::size_t threads = static_cast<std::size_t>(args.get_int(
-      "threads",
-      std::max(2u, std::thread::hardware_concurrency())));
   const std::string out_path = args.get("out", "BENCH_inner_loop.json");
 
   const std::vector<std::size_t> sizes =
@@ -545,15 +501,12 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{16, 32,  64,   128,  256,
                                        512, 1024, 2048, 4096};
 
-  util::ThreadPool pool(threads);
-  bool all_identical = true;
   bool accuracy_ok = true;
   double err_sum = 0.0;
   util::JsonArray rows;
   std::vector<std::vector<std::string>> table;
   for (std::size_t n : sizes) {
-    const SizeResult r = measure(n, reps, candidates, rff_features, pool);
-    all_identical = all_identical && r.propose_identical;
+    const SizeResult r = measure(n, reps, rff_features);
     err_sum += r.rff_mean_err_std;
     if (r.rff_mean_err_std > kRffSizeErrGate) accuracy_ok = false;
     const double surrogate_speedup =
@@ -585,12 +538,7 @@ int main(int argc, char** argv) {
     row["rff_append_ms"] = r.rff_append_ms;
     row["rff_refit_speedup"] = rff_refit_speedup;
     row["rff_mean_err_std"] = r.rff_mean_err_std;
-    if (r.propose_measured) {
-      row["propose_serial_ms"] = r.propose_serial_ms;
-      row["propose_parallel_ms"] = r.propose_parallel_ms;
-      row["propose_identical"] = r.propose_identical;
-    }
-    rows.push_back(util::JsonValue(std::move(row)));
+    rows.emplace_back(std::move(row));
     table.push_back({std::to_string(n),
                      util::fmt(r.gp_refit_ms, 3),
                      util::fmt(r.gp_append_ms, 3),
@@ -600,10 +548,7 @@ int main(int argc, char** argv) {
                      util::fmt(chol_speedup, 3),
                      util::fmt(r.rff_append_ms, 3),
                      util::fmt(rff_refit_speedup, 3),
-                     util::fmt(r.rff_mean_err_std, 3),
-                     r.propose_measured
-                         ? (r.propose_identical ? "yes" : "NO")
-                         : "-"});
+                     util::fmt(r.rff_mean_err_std, 3)});
   }
 
   // Refit-schedule policy comparison at n = 256 (see measure_policy_ms).
@@ -621,9 +566,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> header = {
       "n",        "gp_full_ms", "gp_incr_ms", "gp_x",
       "chol_scalar_ms", "chol_blocked_ms", "chol_x",
-      "rff_incr_ms", "rff_x", "rff_err_std", "identical"};
+      "rff_incr_ms", "rff_x", "rff_err_std"};
   std::cout << "\n=== R-P11: BO inner-loop latency (reps=" << reps
-            << ", threads=" << threads << ", candidates=" << candidates
             << ", rff_features=" << rff_features << ") ===\n"
             << util::render_table(header, table);
   std::cout << "csv," << util::join(header, ",") << "\n";
@@ -639,8 +583,6 @@ int main(int argc, char** argv) {
   doc["bench"] = "inner_loop";
   doc["smoke"] = smoke;
   doc["reps"] = reps;
-  doc["acq_threads"] = static_cast<double>(threads);
-  doc["candidates"] = candidates;
   doc["rff_features"] = rff_features;
   doc["policy_per_trial_hyperopt_ms"] = policy_per_trial_ms;
   doc["policy_scheduled_refit_ms"] = policy_scheduled_ms;
@@ -649,10 +591,6 @@ int main(int argc, char** argv) {
   util::write_file_atomic(out_path, util::dump_json(util::JsonValue(std::move(doc)), 2) + "\n");
   std::cout << "wrote " << out_path << "\n";
 
-  if (!all_identical) {
-    std::cerr << "FAIL: parallel proposal diverged from serial\n";
-    return 1;
-  }
   const double err_mean = err_sum / static_cast<double>(sizes.size());
   if (err_mean > kRffMeanErrGate) accuracy_ok = false;
   if (!accuracy_ok) {

@@ -2,9 +2,9 @@
 # Tier-1 + sanitizer + static-analysis gate.
 #
 # Runs, in order:
-#   1. the plain tier-1 build and test suite (ROADMAP.md contract),
-#      followed by an explicit `ctest -L service` pass over the
-#      tuning-as-a-service tests (DESIGN.md 6k);
+#   1. the plain tier-1 build, with warnings as errors, and test suite
+#      (ROADMAP.md contract), followed by an explicit `ctest -L service`
+#      pass over the tuning-as-a-service tests (DESIGN.md 6k);
 #   2. adml-lint (tools/lint) over src/ and tools/ — determinism and
 #      lock-discipline invariants, DESIGN.md 6g;
 #   3. the same suite under ASan+UBSan with AUTODML_CHECKED invariants on;
@@ -58,7 +58,7 @@ run_suite() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" | tail -n 3
 }
 
-run_suite build
+run_suite build -DAUTODML_WERROR=ON
 
 echo "==== service suite (ctest -L service)"
 # Already ran inside run_suite; the explicit pass keeps the service layer's

@@ -6,14 +6,6 @@
 
 namespace autodml::conf {
 
-std::vector<Config> sample_uniform_batch(const ConfigSpace& space,
-                                         std::size_t n, util::Rng& rng) {
-  std::vector<Config> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(space.sample_uniform(rng));
-  return out;
-}
-
 std::vector<Config> latin_hypercube(const ConfigSpace& space, std::size_t n,
                                     util::Rng& rng) {
   if (n == 0) return {};

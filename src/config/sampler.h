@@ -1,9 +1,10 @@
-// Space-filling samplers for initial tuner designs.
+// Space-filling samplers.
 //
 // BO quality depends heavily on the initial design; plain uniform sampling
-// clusters in high dimension, so the tuner defaults to Latin hypercube and
-// also offers a scrambled Halton sequence. All samplers operate in the
-// encoded unit hypercube and decode to valid configurations.
+// clusters in high dimension, so the tuner draws its initial design as a
+// Latin hypercube. Its degraded-mode fallback walks a scrambled Halton
+// sequence. Both samplers operate in the encoded unit hypercube and decode
+// to valid configurations.
 #pragma once
 
 #include <vector>
@@ -11,10 +12,6 @@
 #include "config/config_space.h"
 
 namespace autodml::conf {
-
-/// n independent uniform configurations.
-std::vector<Config> sample_uniform_batch(const ConfigSpace& space,
-                                         std::size_t n, util::Rng& rng);
 
 /// Latin hypercube: each encoded coordinate is stratified into n bins and
 /// the bins are randomly permuted per coordinate.

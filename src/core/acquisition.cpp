@@ -88,7 +88,7 @@ double score_acquisition(AcquisitionKind kind, const AcquisitionInputs& in) {
       // UCB is sign-indefinite, so feasibility enters as an additive
       // penalty rather than a multiplier (a multiplier would *reward*
       // infeasibility whenever the score is negative).
-      return ucb_score(in.mean, in.variance, in.ucb_beta) -
+      return ucb_score(in.mean, in.variance, kUcbBeta) -
              10.0 * (1.0 - in.prob_feasible);
     case AcquisitionKind::kPi:
       return in.prob_feasible *

@@ -37,6 +37,9 @@ double log_expected_improvement(double mean, double variance, double best);
 /// Lower-confidence-bound score: -(mean - beta * sigma); maximize.
 double ucb_score(double mean, double variance, double beta);
 
+/// Exploration weight beta of AcquisitionKind::kUcb.
+inline constexpr double kUcbBeta = 2.0;
+
 /// Probability of improvement Phi((best - mean)/sigma).
 double probability_of_improvement(double mean, double variance, double best);
 
@@ -46,7 +49,6 @@ struct AcquisitionInputs {
   double incumbent = 0.0;  // best observed (log objective)
   double prob_feasible = 1.0;
   double log_cost = 0.0;   // predicted log evaluation cost (kEiPerCost)
-  double ucb_beta = 2.0;
 };
 
 /// Dispatch; every kind is multiplied by prob_feasible (in log space for

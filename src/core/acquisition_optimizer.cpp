@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <set>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace autodml::core {
 
 namespace {
+
+/// Step size of a neighborhood move, in encoded (unit-cube) coordinates.
+constexpr double kNeighborSigma = 0.12;
 
 /// Exact-duplicate detection via the canonical encoding.
 std::set<math::Vec> encode_history(const conf::ConfigSpace& space,
@@ -22,60 +23,26 @@ std::set<math::Vec> encode_history(const conf::ConfigSpace& space,
   return seen;
 }
 
-/// Score `count` candidates from their encodings (row-major in `rows`),
-/// serially or chunked across the pool; each range goes through one
-/// score_batch call. Writes into per-index slots so the result is
-/// independent of scheduling order.
+/// Scores the candidates whose encodings are the rows of `rows` (row-major)
+/// in one score_batch call.
 std::vector<double> score_candidates(const SurrogateModel& surrogate,
                                      AcquisitionKind kind,
                                      std::span<const double> rows,
-                                     std::size_t count,
-                                     const AcqOptimizerOptions& options) {
+                                     std::size_t count) {
   ADML_SPAN("acq.score");
-  const std::size_t dim = surrogate.space().encoded_dimension();
+  std::vector<SurrogateScore> posterior(count);
+  surrogate.score_batch(rows, posterior);
   std::vector<double> scores(count);
-  const auto score_range = [&](std::size_t begin, std::size_t end) {
-    std::vector<SurrogateScore> posterior(end - begin);
-    surrogate.score_batch(rows.subspan(begin * dim, (end - begin) * dim),
-                          posterior);
-    for (std::size_t i = begin; i < end; ++i) {
-      const SurrogateScore& s = posterior[i - begin];
-      AcquisitionInputs in;
-      in.mean = s.mean;
-      in.variance = s.variance;
-      in.incumbent = surrogate.incumbent_log();
-      in.prob_feasible = s.prob_feasible;
-      in.log_cost = s.log_cost;
-      in.ucb_beta = options.ucb_beta;
-      scores[i] = score_acquisition(kind, in);
-    }
-  };
-  if (options.pool == nullptr || options.pool->size() < 2 || count < 2) {
-    score_range(0, count);
-    return scores;
+  for (std::size_t i = 0; i < count; ++i) {
+    const SurrogateScore& s = posterior[i];
+    AcquisitionInputs in;
+    in.mean = s.mean;
+    in.variance = s.variance;
+    in.incumbent = surrogate.incumbent_log();
+    in.prob_feasible = s.prob_feasible;
+    in.log_cost = s.log_cost;
+    scores[i] = score_acquisition(kind, in);
   }
-  // Lock discipline: the workers share no guarded state — each chunk
-  // writes a disjoint index range of `scores`, and the surrogate is only
-  // read — so there is deliberately no mutex here for -Wthread-safety to
-  // track; the submit/join pair in util::ThreadPool is the only
-  // synchronization. Oversplit relative to the thread count so a slow
-  // chunk (e.g. one hitting the feasibility GP) does not serialize the
-  // tail.
-  const std::size_t chunks = std::min(count, options.pool->size() * 4);
-  const std::size_t per_chunk = (count + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t begin = 0; begin < count; begin += per_chunk) {
-    const std::size_t end = std::min(begin + per_chunk, count);
-    futures.push_back(
-        options.pool->submit([&score_range, begin, end] {
-          // One span per chunk, emitted from the worker thread: the trace
-          // shows how candidate scoring fans out across the pool.
-          ADML_SPAN("acq.score_chunk");
-          score_range(begin, end);
-        }));
-  }
-  for (auto& f : futures) f.get();
   return scores;
 }
 
@@ -116,13 +83,13 @@ std::optional<conf::Config> propose_candidate(
   for (std::size_t i = 0; i < k; ++i) {
     for (int j = 0; j < options.neighbors_per_seed; ++j) {
       candidates.push_back(
-          space.neighbor(ranked[i]->config, rng, options.neighbor_sigma));
+          space.neighbor(ranked[i]->config, rng, kNeighborSigma));
     }
   }
 
-  // Encode each candidate once and dedup serially in generation order
-  // (against the history and within the pool), keeping the survivors'
-  // encodings for scoring — concurrently when a pool is supplied.
+  // Encode each candidate once and dedup in generation order (against the
+  // history and within the pool), keeping the survivors' encodings for
+  // scoring.
   std::vector<conf::Config> unique;
   unique.reserve(candidates.size());
   math::Vec rows;  // the survivors' encodings, row-major
@@ -141,10 +108,9 @@ std::optional<conf::Config> propose_candidate(
   ADML_COUNT("acq.candidates_scored",
              static_cast<std::int64_t>(unique.size()));
   const std::vector<double> scores =
-      score_candidates(surrogate, kind, rows, unique.size(), options);
+      score_candidates(surrogate, kind, rows, unique.size());
 
-  // Lowest-index argmax: the strict `>` keeps the earliest of tied scores,
-  // matching the serial reduction regardless of thread count.
+  // Lowest-index argmax: the strict `>` keeps the earliest of tied scores.
   double best_score = -std::numeric_limits<double>::infinity();
   std::optional<conf::Config> best;
   for (std::size_t i = 0; i < unique.size(); ++i) {

@@ -15,24 +15,12 @@
 #include "core/surrogate.h"
 #include "core/tuner_types.h"
 
-namespace autodml::util {
-class ThreadPool;
-}
-
 namespace autodml::core {
 
 struct AcqOptimizerOptions {
   int random_candidates = 512;
   int top_k = 5;               // seed neighborhoods from the k best trials
   int neighbors_per_seed = 16;
-  double neighbor_sigma = 0.12;
-  double ucb_beta = 2.0;
-  /// Optional worker pool for concurrent candidate scoring (not owned;
-  /// nullptr = serial). Determinism contract: candidates are generated and
-  /// deduplicated serially from the caller's RNG, scored concurrently into
-  /// per-candidate slots, and reduced to the lowest-index argmax — the
-  /// proposal is identical at any thread count, including serial.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Best candidate by acquisition score, or nullopt when every candidate is

@@ -36,11 +36,6 @@ BoTuner::BoTuner(ObjectiveFunction& objective, BoOptions options)
     throw std::invalid_argument("BoTuner: async_workers must be >= 0 (got " +
                                 std::to_string(options_.async_workers) + ")");
   }
-  if (options_.acq_threads > 1) {
-    acq_pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(options_.acq_threads));
-    options_.acq_optimizer.pool = acq_pool_.get();
-  }
   // Lint before any budget is spent: one evaluation is expensive, and a
   // broken space (dead conditional, log range crossing zero, ...) would
   // silently waste the whole run. Errors are fatal; warnings are logged.
@@ -110,25 +105,12 @@ BoTuner::BoTuner(ObjectiveFunction& objective, BoOptions options)
   }
 }
 
-std::vector<conf::Config> BoTuner::initial_configs() {
-  const auto n = static_cast<std::size_t>(options_.initial_design_size);
-  switch (options_.initial_design) {
-    case InitialDesign::kLatinHypercube:
-      return conf::latin_hypercube(objective_->space(), n, rng_);
-    case InitialDesign::kHalton:
-      return conf::halton_sequence(objective_->space(), n, rng_);
-    case InitialDesign::kUniform:
-      return conf::sample_uniform_batch(objective_->space(), n, rng_);
-  }
-  return {};
-}
-
 conf::Config BoTuner::fallback_config() {
   // Regenerate the scrambled-Halton stream from scratch on each call: the
   // scramble permutations are a pure function of the dedicated seed, so
-  // proposal i is the same value whether the process ran straight through,
-  // resumed from a journal, or used a different acq_threads. The prefix
-  // recomputation is O(i) per call and i stays tiny (degraded iterations).
+  // proposal i is the same value whether the process ran straight through
+  // or resumed from a journal. The prefix recomputation is O(i) per call
+  // and i stays tiny (degraded iterations).
   util::Rng halton_rng(options_.seed ^ 0x9e3779b97f4a7c15ULL);
   std::vector<conf::Config> seq = conf::halton_sequence(
       objective_->space(), fallback_index_ + 1, halton_rng);
@@ -196,7 +178,9 @@ BoTuner::LoopState& BoTuner::loop(bool for_tune) {
     loop_ = std::make_unique<LoopState>();
     // The design is drawn before the first ask, so every driver consumes
     // rng_ in the same order.
-    loop_->design = initial_configs();
+    loop_->design = conf::latin_hypercube(
+        objective_->space(),
+        static_cast<std::size_t>(options_.initial_design_size), rng_);
     replay_journal();
   }
   return *loop_;
@@ -487,7 +471,6 @@ TuningResult BoTuner::tune() {
   if (result.found_feasible())
     ADML_GAUGE_SET("tuner.best_objective", result.best_objective);
   ADML_GAUGE_ADD("tuner.simulated_spent_seconds", result.total_spent_seconds);
-  if (acq_pool_) publish_pool_stats("acq", acq_pool_->stats());
   return result;
 }
 

@@ -3,7 +3,7 @@
 //
 // Loop structure: one ask/tell core drives every trial.
 //   - ask: the first initial_design_size proposals come from a
-//     space-filling design (Latin hypercube by default) and run to
+//     space-filling design (a Latin hypercube) and run to
 //     completion — the model needs uncensored anchors. Later proposals fit
 //     the surrogate (objective + feasibility + cost GPs) and maximize the
 //     acquisition over a mixed candidate pool, conditioned on
@@ -38,15 +38,11 @@
 #include "core/session_io.h"
 #include "core/surrogate.h"
 #include "core/tuner_types.h"
-#include "util/thread_pool.h"
 
 namespace autodml::core {
 
-enum class InitialDesign { kLatinHypercube, kHalton, kUniform };
-
 struct BoOptions {
   int initial_design_size = 8;
-  InitialDesign initial_design = InitialDesign::kLatinHypercube;
   AcquisitionKind acquisition = AcquisitionKind::kLogEi;
   int max_evaluations = 30;
   double max_spent_seconds = std::numeric_limits<double>::infinity();
@@ -68,11 +64,6 @@ struct BoOptions {
   /// Append-only trial journal for crash-safe sessions (empty = disabled).
   /// An existing journal written with the same seed/space is resumed.
   std::string journal_path;
-  /// Worker threads for acquisition-candidate scoring (1 = serial). The
-  /// tuner owns the pool; proposals are bit-identical at any thread count
-  /// (see AcqOptimizerOptions::pool for the determinism contract), so this
-  /// only changes latency, never results.
-  int acq_threads = 1;
   /// Keep up to async_q evaluations in flight on a dedicated executor pool
   /// (1 = the classic synchronous loop). Proposals made while evaluations
   /// are pending are conditioned on kriging-believer fantasies of the
@@ -197,17 +188,14 @@ class BoTuner {
   /// outcomes known. Throws std::invalid_argument on divergence.
   void replay_journal();
 
-  std::vector<conf::Config> initial_configs();
   /// Quasi-random proposal used while the surrogate is degraded. Driven by
-  /// a dedicated seed-derived Halton stream — not rng_ and not the thread
-  /// pool — so fallback proposals are bit-identical across reruns and
-  /// acq_threads settings.
+  /// a dedicated seed-derived Halton stream, not rng_, so fallback
+  /// proposals are bit-identical across reruns and journal resumes.
   conf::Config fallback_config();
 
   ObjectiveFunction* objective_;
   BoOptions options_;
   util::Rng rng_;
-  std::unique_ptr<util::ThreadPool> acq_pool_;  // when acq_threads > 1
   SurrogateModel surrogate_;
   /// The surrogate refit on history + outstanding fantasies (asks made
   /// while proposals are outstanding).

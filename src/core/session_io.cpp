@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -139,10 +140,11 @@ RunOutcome outcome_from_json(const util::JsonValue& value) {
                                : classify_failure_text(outcome.failure);
   }
   if (value.contains("attempts")) {
-    const double attempts = util::require_number(value, "attempts", kWhere);
-    if (attempts < 1.0 || attempts != std::floor(attempts))
+    const std::int64_t attempts =
+        util::require_int(value, "attempts", kWhere);
+    if (attempts < 1 || attempts > std::numeric_limits<int>::max())
       throw std::invalid_argument(
-          "outcome: 'attempts' must be an integer >= 1");
+          "outcome: 'attempts' must be an integer in [1, INT_MAX]");
     outcome.attempts = static_cast<int>(attempts);
   }
   if (value.contains("projected_objective") &&

@@ -14,6 +14,14 @@ namespace autodml::core {
 
 namespace {
 
+/// Graceful degradation: when a backend fit throws (non-PD Gram after the
+/// Cholesky jitter ladder is exhausted, NaN in hyperopt), the model set is
+/// rebuilt from scratch with the noise floor raised by this factor, up to
+/// kMaxNoiseEscalations times, before the surrogate enters degraded mode
+/// (ready() == false until a later update fits).
+constexpr double kNoiseEscalationFactor = 100.0;
+constexpr int kMaxNoiseEscalations = 2;
+
 std::unique_ptr<gp::GaussianProcess> make_gp(std::size_t dim,
                                              const gp::GpOptions& options) {
   return std::make_unique<gp::GaussianProcess>(
@@ -158,7 +166,7 @@ void SurrogateModel::update(std::span<const Trial> trials) {
   // When every escalation fails too, the surrogate parks in degraded mode
   // rather than taking the tuner down; the next update() tries again.
   bool fitted = false;
-  const int max_attempts = 1 + std::max(0, options_.max_noise_escalations);
+  constexpr int max_attempts = 1 + kMaxNoiseEscalations;
   for (int attempt = 0; attempt < max_attempts && !fitted; ++attempt) {
     try {
       run_fits();
@@ -172,11 +180,10 @@ void SurrogateModel::update(std::span<const Trial> trials) {
         ADML_COUNT("surrogate.jitter_escalations", 1);
         options_.gp.initial_noise =
             std::min(options_.gp.noise_hi,
-                     options_.gp.initial_noise *
-                         options_.noise_escalation_factor);
+                     options_.gp.initial_noise * kNoiseEscalationFactor);
         options_.gp.noise_lo =
             std::min(options_.gp.noise_hi,
-                     options_.gp.noise_lo * options_.noise_escalation_factor);
+                     options_.gp.noise_lo * kNoiseEscalationFactor);
       }
     }
   }

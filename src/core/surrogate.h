@@ -56,13 +56,6 @@ struct SurrogateOptions {
   std::size_t rff_threshold = 1024;
   /// Number of random Fourier features m for the RFF backend.
   int rff_features = 256;
-  /// Graceful degradation: when a backend fit throws (non-PD Gram after
-  /// the Cholesky jitter ladder is exhausted, NaN in hyperopt), the model
-  /// set is rebuilt from scratch with the noise floor raised by this
-  /// factor, up to `max_noise_escalations` times, before the surrogate
-  /// enters degraded mode (ready() == false until a later update fits).
-  double noise_escalation_factor = 100.0;
-  int max_noise_escalations = 2;
   gp::GpOptions gp;
 };
 

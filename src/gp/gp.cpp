@@ -108,6 +108,11 @@ void clamp_to_bounds(std::span<double> x, std::span<const double> lo,
 }
 }  // namespace
 
+double target_scale(std::span<const double> y) {
+  const double sd = util::stddev(y);
+  return sd > 1e-12 ? sd : 1.0;
+}
+
 GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
                                  GpOptions options)
     : kernel_(std::move(kernel)),
@@ -337,14 +342,8 @@ void GaussianProcess::refit(const math::Matrix& x, std::span<const double> y) {
   math::check_finite(y, "GP training targets");
   x_ = x;
   targets_raw_.assign(y.begin(), y.end());
-  if (options_.standardize_targets) {
-    y_mean_ = util::mean(y);
-    const double sd = util::stddev(y);
-    y_scale_ = sd > 1e-12 ? sd : 1.0;
-  } else {
-    y_mean_ = 0.0;
-    y_scale_ = 1.0;
-  }
+  y_mean_ = util::mean(y);
+  y_scale_ = target_scale(y);
   targets_std_.resize(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) {
     targets_std_[i] = (y[i] - y_mean_) / y_scale_;
@@ -386,11 +385,8 @@ bool GaussianProcess::append_observation(std::span<const double> x, double y) {
 
   // Standardization statistics shift with the new target; the Gram matrix
   // does not depend on them, so only alpha needs recomputing.
-  if (options_.standardize_targets) {
-    y_mean_ = util::mean(targets_raw_);
-    const double sd = util::stddev(targets_raw_);
-    y_scale_ = sd > 1e-12 ? sd : 1.0;
-  }
+  y_mean_ = util::mean(targets_raw_);
+  y_scale_ = target_scale(targets_raw_);
   targets_std_.resize(n + 1);
   for (std::size_t i = 0; i <= n; ++i) {
     targets_std_[i] = (targets_raw_[i] - y_mean_) / y_scale_;

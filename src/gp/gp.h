@@ -24,7 +24,6 @@
 namespace autodml::gp {
 
 struct GpOptions {
-  bool standardize_targets = true;
   bool optimize_hyperparams = true;
   int restarts = 2;             // additional random restarts beyond current
   int adam_iterations = 120;
@@ -33,6 +32,10 @@ struct GpOptions {
   double noise_hi = 1.0;        //   (in standardized target units)
   double initial_noise = 1e-2;
 };
+
+/// Divisor that standardizes targets `y` (after centering on their mean):
+/// their sample standard deviation, or 1 when they are numerically constant.
+double target_scale(std::span<const double> y);
 
 class GaussianProcess final : public Regressor {
  public:

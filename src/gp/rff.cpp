@@ -112,14 +112,8 @@ void RffRegressor::refit(const math::Matrix& x, std::span<const double> y) {
   math::check_finite(y, "RFF training targets");
   x_ = x;
   targets_raw_.assign(y.begin(), y.end());
-  if (options_.gp.standardize_targets) {
-    y_mean_ = util::mean(y);
-    const double sd = util::stddev(y);
-    y_scale_ = sd > 1e-12 ? sd : 1.0;
-  } else {
-    y_mean_ = 0.0;
-    y_scale_ = 1.0;
-  }
+  y_mean_ = util::mean(y);
+  y_scale_ = target_scale(y);
   const std::size_t n = y.size();
   targets_std_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -176,11 +170,8 @@ bool RffRegressor::append_observation(std::span<const double> x, double y) {
   // Standardization statistics shift with the new target, so the whole
   // standardized vector and every y-dependent reduction is recomputed —
   // O(n m), still far below the O(n m²) feature rebuild this path avoids.
-  if (options_.gp.standardize_targets) {
-    y_mean_ = util::mean(targets_raw_);
-    const double sd = util::stddev(targets_raw_);
-    y_scale_ = sd > 1e-12 ? sd : 1.0;
-  }
+  y_mean_ = util::mean(targets_raw_);
+  y_scale_ = target_scale(targets_raw_);
   targets_std_.resize(n + 1);
   for (std::size_t i = 0; i <= n; ++i) {
     targets_std_[i] = (targets_raw_[i] - y_mean_) / y_scale_;
@@ -272,11 +263,7 @@ void RffRegressor::fit(const math::Matrix& x, std::span<const double> y,
     kernel_->set_hyperparams(subset_gp.kernel().hyperparams());
     // The subset GP's noise is in raw target units; ours lives in
     // full-data-standardized units.
-    double y_scale = 1.0;
-    if (options_.gp.standardize_targets) {
-      const double sd = util::stddev(y);
-      y_scale = sd > 1e-12 ? sd : 1.0;
-    }
+    const double y_scale = target_scale(y);
     const double noise_std_units = std::clamp(
         subset_gp.noise_variance() / (y_scale * y_scale),
         options_.gp.noise_lo, options_.gp.noise_hi);

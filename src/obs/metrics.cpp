@@ -148,8 +148,8 @@ util::JsonValue MetricsRegistry::snapshot_json() const {
     const HistogramSnapshot snap = h->snapshot();
     util::JsonObject obj;
     util::JsonArray bounds, counts;
-    for (double b : snap.bounds) bounds.push_back(util::JsonValue(b));
-    for (std::int64_t c : snap.counts) counts.push_back(util::JsonValue(c));
+    for (double b : snap.bounds) bounds.emplace_back(b);
+    for (std::int64_t c : snap.counts) counts.emplace_back(c);
     obj.emplace("bounds", util::JsonValue(std::move(bounds)));
     obj.emplace("counts", util::JsonValue(std::move(counts)));
     obj.emplace("count", util::JsonValue(snap.count));

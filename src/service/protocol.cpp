@@ -12,32 +12,32 @@ using util::JsonValue;
 }  // namespace
 
 const JsonValue& require_field(const JsonValue& object, std::string_view key,
-                               const std::string& where) {
+                               std::string_view where) {
   return with_code(errc::kBadRequest, [&]() -> const JsonValue& {
     return util::require(object, key, where);
   });
 }
 
 bool require_bool_field(const JsonValue& object, std::string_view key,
-                        const std::string& where) {
+                        std::string_view where) {
   return with_code(errc::kBadRequest,
                    [&] { return util::require_bool(object, key, where); });
 }
 
 std::string require_string_field(const JsonValue& object, std::string_view key,
-                                 const std::string& where) {
+                                 std::string_view where) {
   return with_code(errc::kBadRequest,
                    [&] { return util::require_string(object, key, where); });
 }
 
 double require_number_field(const JsonValue& object, std::string_view key,
-                            const std::string& where) {
+                            std::string_view where) {
   return with_code(errc::kBadRequest,
                    [&] { return util::require_number(object, key, where); });
 }
 
 std::int64_t require_int_field(const JsonValue& object, std::string_view key,
-                               const std::string& where) {
+                               std::string_view where) {
   return with_code(errc::kBadRequest,
                    [&] { return util::require_int(object, key, where); });
 }

@@ -56,15 +56,15 @@ core::RunOutcome outcome_from_json(const util::JsonValue& value);
 // ServiceError(bad-request) naming the field.
 const util::JsonValue& require_field(const util::JsonValue& object,
                                      std::string_view key,
-                                     const std::string& where);
+                                     std::string_view where);
 bool require_bool_field(const util::JsonValue& object, std::string_view key,
-                        const std::string& where);
+                        std::string_view where);
 std::string require_string_field(const util::JsonValue& object,
                                  std::string_view key,
-                                 const std::string& where);
+                                 std::string_view where);
 double require_number_field(const util::JsonValue& object,
-                            std::string_view key, const std::string& where);
+                            std::string_view key, std::string_view where);
 std::int64_t require_int_field(const util::JsonValue& object,
-                               std::string_view key, const std::string& where);
+                               std::string_view key, std::string_view where);
 
 }  // namespace autodml::service

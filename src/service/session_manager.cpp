@@ -1,5 +1,6 @@
 #include "service/session_manager.h"
 
+#include <limits>
 #include <utility>
 
 #include "core/acquisition.h"
@@ -16,9 +17,9 @@ using util::JsonValue;
 
 int positive_int_option(const JsonValue& options, const std::string& key) {
   const std::int64_t v = require_int_field(options, key, "options");
-  if (v <= 0)
+  if (v <= 0 || v > std::numeric_limits<int>::max())
     throw ServiceError(errc::kBadRequest,
-                       "options: '" + key + "' must be > 0");
+                       "options: '" + key + "' must be in [1, INT_MAX]");
   return static_cast<int>(v);
 }
 
@@ -41,7 +42,6 @@ SessionConfig parse_session_config(const Request& request,
   // field: as a serial drive.
   bo.async_q = 1;
   bo.async_workers = 0;
-  bo.acq_threads = 1;
 
   const JsonValue& body = request.body;
   if (body.contains("seed")) {

@@ -106,7 +106,7 @@ JsonValue space_to_json(const conf::ConfigSpace& space) {
         out.emplace("kind", JsonValue("int-choice"));
         JsonArray choices;
         for (std::int64_t c : p.int_choices())
-          choices.push_back(JsonValue(static_cast<double>(c)));
+          choices.emplace_back(static_cast<double>(c));
         out.emplace("choices", JsonValue(std::move(choices)));
         break;
       }
@@ -137,7 +137,7 @@ JsonValue space_to_json(const conf::ConfigSpace& space) {
       cond.emplace("values", JsonValue(std::move(values)));
       out.emplace("only_when", JsonValue(std::move(cond)));
     }
-    params.push_back(JsonValue(std::move(out)));
+    params.emplace_back(std::move(out));
   }
   JsonObject root;
   root.emplace("params", JsonValue(std::move(params)));

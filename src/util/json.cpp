@@ -366,7 +366,10 @@ double require_number(const JsonValue& object, std::string_view key,
 std::int64_t require_int(const JsonValue& object, std::string_view key,
                          std::string_view where) {
   const double d = require_number(object, key, where);
-  if (d != std::floor(d)) wrong_type(where, key, "an integer");
+  // Outside [-2^63, 2^63) the cast to int64_t is undefined.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (d != std::floor(d) || !(d >= -kLimit && d < kLimit))
+    wrong_type(where, key, "a 64-bit integer");
   return static_cast<std::int64_t>(d);
 }
 

@@ -81,7 +81,7 @@ bool require_bool(const JsonValue& object, std::string_view key,
                   std::string_view where);
 double require_number(const JsonValue& object, std::string_view key,
                       std::string_view where);
-/// A number with no fractional part.
+/// A number with no fractional part, in the range of int64_t.
 std::int64_t require_int(const JsonValue& object, std::string_view key,
                          std::string_view where);
 const std::string& require_string(const JsonValue& object,

@@ -16,11 +16,8 @@ double EvalResult::objective_value(Objective objective) const {
 // ---- TrainingRun ------------------------------------------------------------
 
 TrainingRun::TrainingRun(Evaluator* owner, EvalResult seed_result,
-                         double interval, int max_checkpoints)
-    : owner_(owner),
-      partial_(std::move(seed_result)),
-      interval_(interval),
-      max_checkpoints_(max_checkpoints) {
+                         double interval)
+    : owner_(owner), partial_(std::move(seed_result)), interval_(interval) {
   if (!partial_.feasible) {
     // OOM or divergence: the run is over before the first checkpoint.
     failed_ = true;
@@ -32,7 +29,7 @@ TrainingRun::TrainingRun(Evaluator* owner, EvalResult seed_result,
 
 std::optional<Checkpoint> TrainingRun::next_checkpoint() {
   if (finished_) return std::nullopt;
-  if (checkpoints_delivered_ >= max_checkpoints_) return std::nullopt;
+  if (checkpoints_delivered_ >= kMaxCheckpointsPerRun) return std::nullopt;
   const double next_time = clock_ + interval_;
   const double horizon = std::min(
       partial_.tta_seconds, owner_->options().deadline_seconds);
@@ -94,9 +91,8 @@ EvalResult Evaluator::run_once(const conf::Config& config, util::Rng& rng,
   const sim::SystemPerformance perf =
       sim::evaluate_system(sys, rng, sim_options);
   out.usd_per_hour = perf.usd_per_hour;
-  out.spent_seconds = options_.provisioning_overhead_seconds;
-  out.spent_usd = options_.provisioning_overhead_seconds / 3600.0 *
-                  perf.usd_per_hour;
+  out.spent_seconds = kProvisioningOverheadSeconds;
+  out.spent_usd = kProvisioningOverheadSeconds / 3600.0 * perf.usd_per_hour;
 
   if (!perf.feasible) {
     out.feasible = false;
@@ -120,9 +116,8 @@ EvalResult Evaluator::run_once(const conf::Config& config, util::Rng& rng,
     out.feasible = false;
     out.failure = "diverged";
     out.failure_kind = core::FailureKind::kDiverged;
-    out.spent_seconds += options_.divergence_detection_seconds;
-    out.spent_usd += options_.divergence_detection_seconds / 3600.0 *
-                     perf.usd_per_hour;
+    out.spent_seconds += kDivergenceDetectionSeconds;
+    out.spent_usd += kDivergenceDetectionSeconds / 3600.0 * perf.usd_per_hour;
     return out;
   }
 
@@ -164,7 +159,7 @@ void Evaluator::apply_deadline(EvalResult& result) const {
   result.feasible = false;
   result.failure = "deadline exceeded";
   result.failure_kind = core::FailureKind::kDeadlineExceeded;
-  result.spent_seconds = options_.provisioning_overhead_seconds +
+  result.spent_seconds = kProvisioningOverheadSeconds +
                          options_.deadline_seconds;
   result.spent_usd = result.spent_seconds / 3600.0 * result.usd_per_hour;
 }
@@ -181,13 +176,13 @@ std::unique_ptr<TrainingRun> Evaluator::start(const conf::Config& config) {
                                     /*inject_faults=*/true);
 
   // Checkpoint cadence: fine-grained for short runs, bounded count overall.
-  double interval = options_.checkpoint_interval_seconds;
+  double interval = kCheckpointIntervalSeconds;
   if (seed_result.feasible) {
-    interval = std::max(interval, seed_result.tta_seconds /
-                                      options_.max_checkpoints_per_run);
+    interval = std::max(interval,
+                        seed_result.tta_seconds / kMaxCheckpointsPerRun);
   }
-  return std::unique_ptr<TrainingRun>(new TrainingRun(
-      this, std::move(seed_result), interval, options_.max_checkpoints_per_run));
+  return std::unique_ptr<TrainingRun>(
+      new TrainingRun(this, std::move(seed_result), interval));
 }
 
 EvalResult Evaluator::evaluate_ground_truth(const conf::Config& config) const {

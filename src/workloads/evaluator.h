@@ -61,12 +61,17 @@ struct Checkpoint {
   double metric = 0.0;
 };
 
+/// Checkpoints stream every kCheckpointIntervalSeconds of simulated
+/// training, stretched so that a run delivers at most kMaxCheckpointsPerRun.
+inline constexpr double kCheckpointIntervalSeconds = 60.0;
+inline constexpr int kMaxCheckpointsPerRun = 64;
+/// Cluster spin-up, charged to every run.
+inline constexpr double kProvisioningOverheadSeconds = 120.0;
+/// Burn-in a diverging run pays before the blowup shows.
+inline constexpr double kDivergenceDetectionSeconds = 300.0;
+
 struct EvaluatorOptions {
   Objective objective = Objective::kTimeToAccuracy;
-  double checkpoint_interval_seconds = 60.0;
-  int max_checkpoints_per_run = 64;
-  double provisioning_overhead_seconds = 120.0;  // cluster spin-up, charged
-  double divergence_detection_seconds = 300.0;   // burn-in before the blowup
   /// Override the per-run statistical noise (negative = workload default).
   double eval_noise_sigma_override = -1.0;
   /// SLO: runs whose time-to-accuracy exceeds this are failures ("deadline
@@ -94,7 +99,7 @@ class TrainingRun {
   bool failed() const { return failed_; }
 
   /// Next checkpoint, or nullopt when the run has reached the target (or
-  /// failed). Never returns more than max_checkpoints_per_run checkpoints;
+  /// failed). Never returns more than kMaxCheckpointsPerRun checkpoints;
   /// the final stretch is folded into result().
   std::optional<Checkpoint> next_checkpoint();
 
@@ -109,13 +114,11 @@ class TrainingRun {
 
  private:
   friend class Evaluator;
-  TrainingRun(Evaluator* owner, EvalResult seed_result, double interval,
-              int max_checkpoints);
+  TrainingRun(Evaluator* owner, EvalResult seed_result, double interval);
 
   Evaluator* owner_;
   EvalResult partial_;
   double interval_ = 0.0;
-  int max_checkpoints_ = 0;
   int checkpoints_delivered_ = 0;
   double clock_ = 0.0;
   bool finished_ = false;

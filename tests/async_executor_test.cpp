@@ -39,12 +39,10 @@ BoOptions fast_options(std::uint64_t seed, int evals) {
   return options;
 }
 
-BoOptions async_options(std::uint64_t seed, int evals, int q, int workers,
-                        int acq_threads = 1) {
+BoOptions async_options(std::uint64_t seed, int evals, int q, int workers) {
   BoOptions options = fast_options(seed, evals);
   options.async_q = q;
   options.async_workers = workers;
-  options.acq_threads = acq_threads;
   return options;
 }
 
@@ -204,29 +202,23 @@ TEST(AsyncTuner, ForcedDepthOnePipelineReproducesSynchronousLoop) {
   }
 }
 
-TEST(AsyncTuner, JournalsByteIdenticalAcrossWorkerAndAcqThreadCounts) {
+TEST(AsyncTuner, JournalsByteIdenticalAcrossWorkerCounts) {
   // The tentpole contract: for a fixed async_q, changing how much real
-  // parallelism serves the pipeline (evaluation workers, acquisition
-  // threads) must not change a single byte of the journal or a single bit
-  // of the incumbent. Journals serialize doubles with %.17g, so the byte
-  // comparison is a bit comparison of the whole trial sequence.
+  // parallelism serves the pipeline (evaluation workers) must not change a
+  // single byte of the journal or a single bit of the incumbent. Journals
+  // serialize doubles with %.17g, so the byte comparison is a bit
+  // comparison of the whole trial sequence.
   for (const int q : {2, 4}) {
     const AsyncRun ref =
         run_session("async_det_ref.journal", async_options(41, 12, q, 1));
     ASSERT_EQ(ref.result.trials.size(), 12u);
     ASSERT_FALSE(ref.journal.empty());
 
-    struct Variant {
-      int workers;
-      int acq_threads;
-    };
-    for (const Variant v : {Variant{q, 1}, Variant{q + 3, 1}, Variant{1, 4}}) {
-      const AsyncRun got = run_session(
-          "async_det_var.journal", async_options(41, 12, q, v.workers,
-                                                 v.acq_threads));
+    for (const int workers : {q, q + 3}) {
+      const AsyncRun got = run_session("async_det_var.journal",
+                                       async_options(41, 12, q, workers));
       EXPECT_EQ(got.journal, ref.journal)
-          << "q=" << q << " workers=" << v.workers
-          << " acq_threads=" << v.acq_threads;
+          << "q=" << q << " workers=" << workers;
       expect_same_trials(ref.result, got.result);
     }
   }

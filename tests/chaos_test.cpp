@@ -145,42 +145,37 @@ TEST(Journal, DuplicatedTailIsDedupedAndResumeMatchesReference) {
 
 // ---- graceful degradation --------------------------------------------------
 
-TuningResult run_degraded(std::uint64_t seed, int acq_threads) {
+TuningResult run_degraded(std::uint64_t seed) {
   chaos::disarm_all();
   // Every fit attempt of surrogate updates 1..3 fails; update 4 recovers.
   chaos::arm_fault_point("surrogate.refit", /*first_hit=*/1, /*count=*/3);
   SyntheticObjective objective;
-  BoOptions options = fast_options(seed, 10);
-  options.acq_threads = acq_threads;
-  BoTuner tuner(objective, options);
+  BoTuner tuner(objective, fast_options(seed, 10));
   TuningResult result = tuner.tune();
   EXPECT_FALSE(tuner.surrogate().degraded());  // recovered before the end
   chaos::disarm_all();
   return result;
 }
 
-TEST(Degradation, FallbackProposalsAreBitIdenticalAcrossThreadCounts) {
-  const TuningResult serial = run_degraded(23, 1);
-  const TuningResult again = run_degraded(23, 1);
-  const TuningResult threaded = run_degraded(23, 4);
-  ASSERT_EQ(serial.trials.size(), 10u);
-  ASSERT_EQ(again.trials.size(), serial.trials.size());
-  ASSERT_EQ(threaded.trials.size(), serial.trials.size());
-  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
-    EXPECT_TRUE(serial.trials[i].config == again.trials[i].config) << i;
-    EXPECT_TRUE(serial.trials[i].config == threaded.trials[i].config) << i;
-    EXPECT_DOUBLE_EQ(serial.trials[i].outcome.objective,
-                     threaded.trials[i].outcome.objective)
+TEST(Degradation, FallbackProposalsAreBitIdenticalAcrossReruns) {
+  const TuningResult first = run_degraded(23);
+  const TuningResult again = run_degraded(23);
+  ASSERT_EQ(first.trials.size(), 10u);
+  ASSERT_EQ(again.trials.size(), first.trials.size());
+  for (std::size_t i = 0; i < first.trials.size(); ++i) {
+    EXPECT_TRUE(first.trials[i].config == again.trials[i].config) << i;
+    EXPECT_DOUBLE_EQ(first.trials[i].outcome.objective,
+                     again.trials[i].outcome.objective)
         << i;
   }
-  EXPECT_DOUBLE_EQ(serial.best_objective, threaded.best_objective);
+  EXPECT_DOUBLE_EQ(first.best_objective, again.best_objective);
 }
 
 TEST(Degradation, EntryRecoveryAndFallbacksAreObservable) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   registry.reset();
   registry.enable();
-  run_degraded(23, 1);
+  run_degraded(23);
   registry.disable();
   EXPECT_EQ(registry.counter("surrogate.degraded_entries").value(), 1);
   EXPECT_EQ(registry.counter("surrogate.recoveries").value(), 1);

@@ -287,13 +287,17 @@ TEST(SessionIo, RejectsMalformedDocuments) {
   EXPECT_THROW(core::trials_from_json(doc, objective.space()),
                std::invalid_argument);
   // Outcomes the wire rejects are rejected on load too: a negative spend,
-  // a fractional attempt count, a completed run with no objective.
+  // a fractional attempt count, one past the range of int, a completed run
+  // with no objective.
   for (const char* outcome :
        {R"("feasible":false,"aborted":false,"failure":"OOM",)"
         R"("objective":null,"spent_seconds":-1,"usd_per_hour":1)",
         R"("feasible":false,"aborted":false,"failure":"OOM",)"
         R"("objective":null,"spent_seconds":5,"usd_per_hour":1,)"
         R"("attempts":1.5)",
+        R"("feasible":false,"aborted":false,"failure":"OOM",)"
+        R"("objective":null,"spent_seconds":5,"usd_per_hour":1,)"
+        R"("attempts":1e300)",
         R"("feasible":true,"aborted":false,"failure":"",)"
         R"("objective":null,"spent_seconds":5,"usd_per_hour":1)"}) {
     EXPECT_THROW(core::trials_from_json(

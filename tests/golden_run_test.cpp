@@ -10,9 +10,9 @@
 //
 // Exactness: doubles are serialized with %.17g throughout util/json, which
 // round-trips every finite double bit-exactly, so the comparison below
-// uses == on numbers — no tolerances. The run is serial (acq_threads=1)
-// and every recorded metric is simulated/algorithmic, so the snapshot is
-// scheduling-independent.
+// uses == on numbers — no tolerances. The run is serial (async_q = 1, no
+// threads) and every recorded metric is simulated/algorithmic, so the
+// snapshot is scheduling-independent.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -57,8 +57,11 @@ util::JsonValue run_demo_session() {
   // Same convention as session files: infinity (no incumbent yet) -> null.
   util::JsonArray curve;
   for (double v : result.incumbent_curve) {
-    curve.push_back(std::isfinite(v) ? util::JsonValue(v)
-                                     : util::JsonValue(nullptr));
+    if (std::isfinite(v)) {
+      curve.emplace_back(v);
+    } else {
+      curve.emplace_back(nullptr);
+    }
   }
   doc["incumbent_curve"] = std::move(curve);
   doc["best_objective"] = result.found_feasible()

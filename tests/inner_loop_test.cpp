@@ -1,20 +1,16 @@
-// Tests for the incremental/parallel BO inner loop: rank-1 Cholesky
-// append, GP append-vs-refit equivalence, analytic LML gradients, and
-// thread-count invariance of acquisition proposals.
+// Tests for the incremental BO inner loop: rank-1 Cholesky append, GP
+// append-vs-refit equivalence and analytic LML gradients.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
 
-#include "core/acquisition_optimizer.h"
 #include "gp/gp.h"
 #include "gp/kernel.h"
 #include "math/cholesky.h"
 #include "math/optimize.h"
-#include "synthetic_objective.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace autodml {
 namespace {
@@ -281,48 +277,6 @@ TEST(LmlGradient, MemoInvalidatedWhenDataChanges) {
   gp.append_observation(d.x.row(9), d.y[9]);
   // Same theta, different data: the memo must not serve the stale value.
   EXPECT_NE(gp.negative_lml(packed).value, v1);
-}
-
-// ---- proposal determinism across thread counts ---------------------------
-
-TEST(ProposeCandidate, BitIdenticalAcrossThreadCounts) {
-  testing::SyntheticObjective objective;
-  core::SurrogateModel model(objective.space(), {}, 1);
-  util::Rng hist_rng(41);
-  std::vector<core::Trial> history;
-  for (int i = 0; i < 24; ++i) {
-    core::Trial t;
-    conf::Config c = objective.space().sample_uniform(hist_rng);
-    if (c.get_double("x") > 0.9) c.set_double("x", 0.9);
-    t.config = c;
-    t.outcome.feasible = true;
-    t.outcome.objective = objective.true_value(c);
-    t.outcome.spent_seconds = t.outcome.objective;
-    history.push_back(std::move(t));
-  }
-  model.update(history);
-
-  util::ThreadPool pool2(2), pool8(8);
-  for (const auto kind :
-       {core::AcquisitionKind::kLogEi, core::AcquisitionKind::kEiPerCost}) {
-    for (std::uint64_t seed : {7u, 8u, 9u}) {
-      util::Rng r1(seed), r2(seed), r8(seed);
-      core::AcqOptimizerOptions serial;
-      core::AcqOptimizerOptions two = serial, eight = serial;
-      two.pool = &pool2;
-      eight.pool = &pool8;
-      const auto a = core::propose_candidate(model, kind, history, r1, serial);
-      const auto b = core::propose_candidate(model, kind, history, r2, two);
-      const auto c = core::propose_candidate(model, kind, history, r8, eight);
-      ASSERT_TRUE(a.has_value());
-      ASSERT_TRUE(b.has_value());
-      ASSERT_TRUE(c.has_value());
-      EXPECT_TRUE(*a == *b) << "1 vs 2 threads, seed " << seed;
-      EXPECT_TRUE(*a == *c) << "1 vs 8 threads, seed " << seed;
-      // The serial RNG and the pooled RNGs must have consumed identically.
-      EXPECT_EQ(r1.next_u64(), r2.next_u64());
-    }
-  }
 }
 
 }  // namespace

@@ -83,7 +83,9 @@ TEST(ObsStress, TracerAndMetricsSurviveConcurrentRecording) {
   for (const auto& e : doc.at("traceEvents").as_array()) {
     const int tid = static_cast<int>(e.at("tid").as_number());
     const double ts = e.at("ts").as_number();
-    if (last_ts.count(tid)) EXPECT_GE(ts, last_ts[tid]);
+    if (last_ts.count(tid)) {
+      EXPECT_GE(ts, last_ts[tid]);
+    }
     last_ts[tid] = ts;
     const std::string& ph = e.at("ph").as_string();
     if (ph == "B") ++open[tid];
@@ -125,16 +127,15 @@ TEST(ObsStress, PerThreadHistogramMergeEqualsSerial) {
   // Property behind trustworthy sharded aggregation: merging per-thread
   // histograms reproduces the serial histogram exactly (integer-valued
   // samples, so double addition is rounding-free in any order).
-  static const double kBounds[] = {10.0, 100.0, 1000.0};
+  const std::vector<double> kBounds = {10.0, 100.0, 1000.0};
   constexpr std::size_t kShards = 7;
   constexpr int kSamples = 3000;
 
-  obs::Histogram serial({10.0, 100.0, 1000.0});
+  obs::Histogram serial(kBounds);
   // Histograms hold atomics (immovable), so shards live behind pointers.
   std::vector<std::unique_ptr<obs::Histogram>> shards;
   for (std::size_t s = 0; s < kShards; ++s) {
-    shards.push_back(std::make_unique<obs::Histogram>(
-        std::vector<double>{10.0, 100.0, 1000.0}));
+    shards.push_back(std::make_unique<obs::Histogram>(kBounds));
   }
 
   // Deterministic pseudo-random integer stream.

@@ -17,14 +17,6 @@ ConfigSpace cube_space(int dims) {
   return space;
 }
 
-TEST(UniformBatch, SizeAndValidity) {
-  const ConfigSpace space = cube_space(3);
-  util::Rng rng(1);
-  const auto batch = sample_uniform_batch(space, 50, rng);
-  EXPECT_EQ(batch.size(), 50u);
-  for (const auto& c : batch) space.validate(c);
-}
-
 TEST(LatinHypercube, OneSamplePerStratum) {
   const ConfigSpace space = cube_space(2);
   util::Rng rng(2);

@@ -189,12 +189,54 @@ TEST(ServiceProtocol, InvalidOutcomesAreRejectedBeforeMutation) {
                    R"("failure":"","objective":1,"spent_seconds":-3,)"
                    R"("usd_per_hour":1}})",
                errc::kInvalidOutcome);
+  // An attempt count past INT_MAX used to narrow to INT_MIN in the journal,
+  // a record no later create-session could replay.
+  for (const char* attempts : {"1e300", "2147483648"}) {
+    expect_error(manager,
+                 prefix +
+                     R"("outcome":{"feasible":false,"aborted":false,)"
+                     R"("failure":"OOM","objective":null,"spent_seconds":1,)"
+                     R"("usd_per_hour":1,"attempts":)" +
+                     attempts + "}}",
+                 errc::kInvalidOutcome);
+  }
   expect_error(manager, prefix.substr(0, prefix.size() - 1) + "}",
                errc::kBadRequest);  // no outcome at all
   // The rejected reports must not have consumed the ticket.
   expect_ok(manager,
             R"({"op":"report","session":"s","ticket":0,"outcome":)" +
                 ok_outcome(4.0) + "}");
+}
+
+TEST(ServiceProtocol, TicketOutsideInt64RangeIsBadRequest) {
+  // 1e300 is integral as a double, but no int64_t holds it.
+  SessionManager manager;
+  expect_ok(manager, create_line("s"));
+  expect_ok(manager, R"({"op":"suggest","session":"s"})");
+  for (const char* ticket : {"1e300", "-1e300", "9223372036854775808"}) {
+    expect_error(manager,
+                 std::string(R"({"op":"report","session":"s","ticket":)") +
+                     ticket + R"(,"outcome":)" + ok_outcome(5.0) + "}",
+                 errc::kBadRequest);
+  }
+  // The session is untouched: ticket 0 is still outstanding.
+  expect_ok(manager,
+            R"({"op":"report","session":"s","ticket":0,"outcome":)" +
+                ok_outcome(5.0) + "}");
+}
+
+TEST(ServiceProtocol, IntOptionAboveIntMaxIsBadRequest) {
+  // 2^32 + 1 used to narrow to 1: a session with a budget of one trial.
+  SessionManager manager;
+  for (const char* key : {"max_evaluations", "max_pending", "gp_restarts"}) {
+    expect_error(manager,
+                 std::string(R"({"op":"create-session","session":"s",)") +
+                     R"("options":{")" + key + R"(":4294967297},"space":)" +
+                     kSpace + "}",
+                 errc::kBadRequest);
+  }
+  // No session was registered by the rejected creates.
+  expect_ok(manager, create_line("s"));
 }
 
 TEST(ServiceProtocol, CompletedOutcomeWithoutObjectiveIsRejected) {

@@ -209,7 +209,7 @@ TEST(Evaluator, CheckpointStreamIsMonotone) {
     ++count;
   }
   EXPECT_GT(count, 3);
-  EXPECT_LE(count, evaluator.options().max_checkpoints_per_run);
+  EXPECT_LE(count, kMaxCheckpointsPerRun);
   const EvalResult r = run->result();
   EXPECT_TRUE(r.feasible);
 }
